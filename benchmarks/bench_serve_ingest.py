@@ -1,37 +1,30 @@
 #!/usr/bin/env python
-"""Service dataplane ingest bench: wire protocol x WAL durability.
+"""Service recovery bench: snapshot boot vs full WAL replay.
 
-The serve-mode companion to ``bench_scale.py``: it measures what the
-dataplane throughput overhaul actually buys by driving N concurrent
-:class:`~repro.serve.client.ServiceClient` connections through a real
+One served ingest run writes the journal: N concurrent
+:class:`~repro.serve.client.ServiceClient` connections drive batched
+``ingest_batch`` frames through a real
 :class:`~repro.serve.server.ServiceServer` +
 :class:`~repro.serve.runtime.ServiceRuntime` (TCP loopback, WAL on
-disk), sweeping the four axes of the hot path::
+disk, one group-commit fsync per worker cycle).  Its docs/s and
+records-per-fsync are recorded for context, not gated — the
+steady-state ingest latency and throughput of the service are
+``perfbench``'s job (see ``BENCHMARK.json``).
 
-    connections x client batching x fsync_interval x protocol
-
-The **seed path** is emulated exactly: ``protocol="json"`` with
-``wal_group_commit=False`` at ``fsync_interval=1`` is one JSON line
-and one fsync per append, which is what the service spoke before the
-binary protocol and group commit landed.  The headline ratio divides
-the binary + group-commit configuration by that baseline — a
-same-host ratio, so it is machine-portable the same way the
-``--check`` gate's other ratios are.
-
-The second half times **recovery**: the journal written by the
-headline run is recovered twice — full replay, then checkpoint +
-snapshot-boot — and the recovered twins are checked bit-identical
+That journal is then recovered twice — full replay, then checkpoint +
+snapshot boot — and the recovered twins are checked bit-identical
 (RNG fingerprint + stored replicas).  Checkpointed recovery must beat
-full replay by ``recovery_speedup_min``.
+full replay by ``recovery_speedup_min``, a same-host ratio and so
+machine-portable.
 
 Two tiers::
 
     python benchmarks/bench_serve_ingest.py --tier small   # CI smoke
     python benchmarks/bench_serve_ingest.py --tier full --json BENCH_serve.json
 
-Floors travel inside the JSON (see ``FLOORS``) and are re-asserted
+The floor travels inside the JSON (see ``FLOORS``) and is re-asserted
 from the committed file by ``scripts/run_benchmarks.py`` in both gate
-modes; the bench itself also hard-fails when a fresh run misses them.
+modes; the bench itself also hard-fails when a fresh run misses it.
 """
 
 from __future__ import annotations
@@ -60,14 +53,9 @@ from repro.serve import (  # noqa: E402
 )
 from repro.serve.journal import JournaledSystem  # noqa: E402
 
-#: Self-describing floors recorded into the JSON and re-asserted from
-#: the committed file by scripts/run_benchmarks.py.  Both are
-#: same-host ratios (new path vs old path on identical hardware), so
-#: they are machine-portable.
+#: Self-describing floor recorded into the JSON and re-asserted from
+#: the committed file by scripts/run_benchmarks.py.
 FLOORS = {
-    # Binary + group commit vs seed JSON + per-append fsync, both at
-    # fsync_interval=1 (the ISSUE's >= 2x acceptance criterion).
-    "ingest_speedup_min": 2.0,
     # Snapshot-boot recovery vs full-history replay of the same WAL.
     "recovery_speedup_min": 5.0,
 }
@@ -76,6 +64,9 @@ TIERS = {
     "small": {"docs": 1_200, "filters": 200, "connections": 2},
     "full": {"docs": 8_000, "filters": 500, "connections": 4},
 }
+
+#: Documents per ``ingest_batch`` request.
+CLIENT_BATCH = 16
 
 _VOCAB_SIZE = 600
 _DOC_TERMS = 8
@@ -90,10 +81,9 @@ def _profiles(count: int):
     rng = random.Random(11)
     vocab = _vocab()
     return [
-        {
-            "filter_id": f"f{i:05d}",
-            "terms": sorted(rng.sample(vocab, rng.randint(2, 4))),
-        }
+        Filter.from_terms(
+            f"f{i:05d}", sorted(rng.sample(vocab, rng.randint(2, 4)))
+        )
         for i in range(count)
     ]
 
@@ -111,69 +101,20 @@ def _doc_entries(worker: int, count: int):
     ]
 
 
-def _sweep(tier: dict):
-    """The benchmark grid: every config publishes the same workload."""
-    conns = tier["connections"]
-    grid = [
-        # The seed path: JSON lines, one fsync per WAL append.
-        dict(name="json-per-append", protocol="json",
-             group_commit=False, fsync_interval=1,
-             connections=conns, client_batch=1),
-        # Group commit alone (protocol held at JSON).
-        dict(name="json-group-commit", protocol="json",
-             group_commit=True, fsync_interval=1,
-             connections=conns, client_batch=1),
-        # Binary frames alone, per-document requests.
-        dict(name="binary-group-commit", protocol="binary",
-             group_commit=True, fsync_interval=1,
-             connections=conns, client_batch=1),
-        # The headline: binary frames + batched requests + group
-        # commit — the full overhaul.
-        dict(name="binary-batched", protocol="binary",
-             group_commit=True, fsync_interval=1,
-             connections=conns, client_batch=16),
-        # Connection-count sweep around the headline.
-        dict(name="binary-batched-conn1", protocol="binary",
-             group_commit=True, fsync_interval=1,
-             connections=1, client_batch=16),
-        # fsync_interval sweep: batched fsync instead of (or on top
-        # of) the commit window.
-        dict(name="binary-batched-fsync8", protocol="binary",
-             group_commit=True, fsync_interval=8,
-             connections=conns, client_batch=16),
-    ]
-    if tier["connections"] >= 4:
-        grid.append(
-            dict(name="binary-batched-conn8", protocol="binary",
-                 group_commit=True, fsync_interval=1,
-                 connections=8, client_batch=16)
-        )
-    return grid
-
-
-def run_config(spec: dict, tier: dict, wal_dir: str) -> dict:
-    """Serve one configuration and hammer it from client threads."""
-    total_docs = tier["docs"]
-    connections = spec["connections"]
-    per_worker = total_docs // connections
-    profiles = _profiles(tier["filters"])
+def run_ingest(tier: dict, wal_dir: str) -> dict:
+    """Serve the workload and hammer it from client threads."""
+    connections = tier["connections"]
+    per_worker = tier["docs"] // connections
     errors: list = []
 
     def client_work(worker: int, port: int) -> None:
         try:
-            with ServiceClient(
-                port=port, protocol=spec["protocol"]
-            ) as client:
+            with ServiceClient(port=port) as client:
                 entries = _doc_entries(worker, per_worker)
-                step = spec["client_batch"]
-                for start in range(0, len(entries), step):
-                    chunk = entries[start:start + step]
-                    if step == 1:
-                        client.ingest(
-                            chunk[0]["doc_id"], terms=chunk[0]["terms"]
-                        )
-                    else:
-                        client.ingest_batch(chunk)
+                for start in range(0, len(entries), CLIENT_BATCH):
+                    client.ingest_batch(
+                        entries[start:start + CLIENT_BATCH]
+                    )
         except Exception as error:  # noqa: BLE001 - reported below
             errors.append(error)
 
@@ -184,20 +125,12 @@ def run_config(spec: dict, tier: dict, wal_dir: str) -> dict:
                 num_nodes=_NODES,
                 seed=0,
                 wal_dir=wal_dir,
-                fsync_interval=spec["fsync_interval"],
-                wal_group_commit=spec["group_commit"],
                 queue_capacity=4_096,
             )
         )
         server = ServiceServer(runtime, port=0)
         await server.start()
-        await runtime.command(
-            "register_batch",
-            [
-                Filter.from_terms(p["filter_id"], p["terms"])
-                for p in profiles
-            ],
-        )
+        await runtime.subscribe(_profiles(tier["filters"]))
         await runtime.command("finalize")
         writer = runtime.journal.writer
         fsyncs_before = writer.fsyncs
@@ -215,36 +148,24 @@ def run_config(spec: dict, tier: dict, wal_dir: str) -> dict:
         elapsed = time.perf_counter() - started
         fsyncs = writer.fsyncs - fsyncs_before
         records = writer.records_synced - records_before
-        group_commits = writer.group_commits
         await server.close()
-        return {
-            "elapsed": elapsed,
-            "fsyncs": fsyncs,
-            "records": records,
-            "group_commits": group_commits,
-        }
+        return {"elapsed": elapsed, "fsyncs": fsyncs, "records": records}
 
     measured = asyncio.run(scenario())
     if errors:
-        raise RuntimeError(
-            f"{spec['name']}: client worker failed: {errors[0]!r}"
-        )
+        raise RuntimeError(f"client worker failed: {errors[0]!r}")
     docs = per_worker * connections
-    elapsed = measured["elapsed"]
     return {
-        **{k: spec[k] for k in (
-            "name", "protocol", "connections", "client_batch",
-            "fsync_interval", "group_commit",
-        )},
+        "connections": connections,
+        "client_batch": CLIENT_BATCH,
         "docs": docs,
-        "seconds": round(elapsed, 3),
-        "docs_per_second": round(docs / elapsed, 1),
+        "seconds": round(measured["elapsed"], 3),
+        "docs_per_second": round(docs / measured["elapsed"], 1),
         "wal_fsyncs": measured["fsyncs"],
         "wal_records": measured["records"],
         "records_per_fsync": round(
             measured["records"] / max(1, measured["fsyncs"]), 2
         ),
-        "wal_group_commits": measured["group_commits"],
     }
 
 
@@ -292,41 +213,19 @@ def run_recovery(wal_dir: str) -> dict:
 
 def run_tier(tier_name: str) -> dict:
     tier = TIERS[tier_name]
-    configs = []
-    headline_wal: str | None = None
-    for spec in _sweep(tier):
-        wal_dir = tempfile.mkdtemp(prefix=f"serve-bench-{spec['name']}-")
-        result = run_config(spec, tier, wal_dir)
-        configs.append(result)
+    wal_dir = tempfile.mkdtemp(prefix="serve-bench-")
+    try:
+        ingest = run_ingest(tier, wal_dir)
         print(
-            f"   {result['name']:<22s} {result['docs_per_second']:>9,.0f} "
-            f"docs/s  ({result['connections']} conns, batch "
-            f"{result['client_batch']}, fsync {result['fsync_interval']}"
-            f"{', GC' if result['group_commit'] else ''}; "
-            f"{result['records_per_fsync']:.1f} rec/fsync)",
+            f"   ingest {ingest['docs_per_second']:>9,.0f} docs/s  "
+            f"({ingest['connections']} conns, batch "
+            f"{ingest['client_batch']}; "
+            f"{ingest['records_per_fsync']:.1f} rec/fsync)",
             flush=True,
         )
-        if spec["name"] == "binary-batched":
-            headline_wal = wal_dir  # recovery reuses this journal
-        else:
-            shutil.rmtree(wal_dir, ignore_errors=True)
-
-    by_name = {entry["name"]: entry for entry in configs}
-    baseline = by_name["json-per-append"]
-    headline = by_name["binary-batched"]
-    speedup = round(
-        headline["docs_per_second"] / baseline["docs_per_second"], 2
-    )
-    print(
-        f"   ingest speedup: {speedup:.2f}x "
-        f"({headline['name']} vs {baseline['name']}, floor "
-        f"{FLOORS['ingest_speedup_min']}x)",
-        flush=True,
-    )
-
-    assert headline_wal is not None
-    recovery = run_recovery(headline_wal)
-    shutil.rmtree(headline_wal, ignore_errors=True)
+        recovery = run_recovery(wal_dir)
+    finally:
+        shutil.rmtree(wal_dir, ignore_errors=True)
     print(
         f"   recovery speedup: {recovery['speedup']:.1f}x "
         f"(full {recovery['full_replay_seconds']:.3f}s / "
@@ -338,11 +237,6 @@ def run_tier(tier_name: str) -> dict:
     )
 
     failures = []
-    if speedup < FLOORS["ingest_speedup_min"]:
-        failures.append(
-            f"ingest speedup {speedup:.2f}x below floor "
-            f"{FLOORS['ingest_speedup_min']}x"
-        )
     if recovery["speedup"] < FLOORS["recovery_speedup_min"]:
         failures.append(
             f"recovery speedup {recovery['speedup']:.1f}x below floor "
@@ -363,21 +257,14 @@ def run_tier(tier_name: str) -> dict:
             "doc_terms": _DOC_TERMS,
             "nodes": _NODES,
         },
-        "configs": configs,
-        "ingest": {
-            "baseline": baseline["name"],
-            "headline": headline["name"],
-            "baseline_docs_per_second": baseline["docs_per_second"],
-            "headline_docs_per_second": headline["docs_per_second"],
-            "speedup": speedup,
-        },
+        "ingest": ingest,
         "recovery": recovery,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Service dataplane ingest/recovery bench."
+        description="Service recovery bench (snapshot boot vs replay)."
     )
     parser.add_argument(
         "--tier",
@@ -395,7 +282,7 @@ def main(argv=None) -> int:
 
     tiers = ["small", "full"] if args.tier == "both" else [args.tier]
     payload = {
-        "version": 1,
+        "version": 2,
         "datetime": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "floors": FLOORS,
         "tiers": {},

@@ -6,7 +6,8 @@ it exercises the real deployment story across *process* boundaries.
 
 1. boot ``python -m repro serve`` with a WAL directory and port 0,
    wait for ``READY port=<n>``;
-2. register filters, finalize, ingest documents; record the stats
+2. subscribe filters and a query, finalize, ingest documents (all
+   over the binary protocol via ``ServiceClient``); record the stats
    snapshot and each document's matched set;
 3. ``SIGKILL`` the process mid-flight (no drain, no fsync courtesy);
 4. boot a fresh process on the same WAL directory;
@@ -42,6 +43,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.model import Filter  # noqa: E402
 from repro.serve.client import ServiceClient  # noqa: E402
 
 _FILTERS = {
@@ -140,11 +142,14 @@ def main() -> int:
     try:
         with ServiceClient(port=port) as client:
             assert client.ping()
-            for fid, terms in _FILTERS.items():
-                client.register(fid, terms)
-            assert client.server_protocol == 2, client.server_protocol
-            qid = client.register_query(_QUERY, query_id=_QUERY_ID)
-            assert qid == _QUERY_ID, qid
+            ids = client.subscribe(
+                [
+                    Filter.from_terms(fid, terms)
+                    for fid, terms in _FILTERS.items()
+                ]
+                + [(_QUERY_ID, _QUERY)]
+            )
+            assert ids == [*_FILTERS, _QUERY_ID], ids
             client.finalize()
             before = {}
             for doc_id, terms in _DOCS.items():

@@ -10,11 +10,11 @@ Subcommands:
   the spans as JSON lines (the CI observability smoke; feed the
   output to ``scripts/trace_report.py``),
 - ``serve`` — run the real service mode: an asyncio TCP endpoint
-  (JSON lines: register / unregister / ingest / stats / metrics)
-  over one dissemination system, with optional write-ahead-log
-  durability and crash recovery (``--wal-dir``); prints
-  ``READY port=<n> protocol=<v>`` once listening (see
-  ``docs/OPERATIONS.md``),
+  speaking the binary protocol v3 (subscribe / ingest / admin ops;
+  drive it with :class:`repro.serve.ServiceClient`) over one
+  dissemination system, with optional write-ahead-log durability and
+  crash recovery (``--wal-dir``); prints ``READY port=<n>
+  protocol=<v>`` once listening (see ``docs/OPERATIONS.md``),
 - ``list`` — list the available experiment ids,
 - ``demo`` — run the quickstart scenario inline.
 """
@@ -121,38 +121,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         threshold=args.threshold,
         wal_dir=args.wal_dir,
-        fsync_interval=args.fsync_interval,
         segment_max_bytes=args.segment_max_bytes,
         queue_capacity=args.queue_capacity,
         admission_high_watermark=args.admission_watermark,
         batch_max_docs=args.batch_max_docs,
         reallocate_interval=args.reallocate_interval,
         drift_epsilon=args.drift_epsilon,
-        wal_group_commit=not args.no_group_commit,
         checkpoint_interval=args.checkpoint_interval,
         snapshot_retain=args.snapshot_retain,
     )
 
     async def run() -> None:
-        from .serve.server import PROTOCOL_VERSION
         from .serve.wire import BINARY_PROTOCOL_VERSION
 
         runtime = ServiceRuntime(config)
-        server = ServiceServer(
-            runtime,
-            host=args.host,
-            port=args.port,
-            binary_enabled=not args.no_binary,
-        )
+        server = ServiceServer(runtime, host=args.host, port=args.port)
         await server.start()
-        binary = (
-            f" binary={BINARY_PROTOCOL_VERSION}"
-            if server.binary_enabled
-            else ""
-        )
         print(
-            f"READY port={server.port} protocol={PROTOCOL_VERSION}"
-            f"{binary}",
+            f"READY port={server.port} "
+            f"protocol={BINARY_PROTOCOL_VERSION}",
             flush=True,
         )
         loop = asyncio.get_running_loop()
@@ -263,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve",
-        help="run the live TCP service (JSON lines; see "
+        help="run the live TCP service (binary protocol v3; see "
         "docs/OPERATIONS.md)",
     )
     serve_parser.add_argument(
@@ -305,12 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write-ahead-log directory; enables durability and "
         "crash recovery on restart",
-    )
-    serve_parser.add_argument(
-        "--fsync-interval",
-        type=int,
-        default=1,
-        help="fsync every N journal appends (1 = every append)",
     )
     serve_parser.add_argument(
         "--segment-max-bytes",
@@ -366,17 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="checkpoint snapshots kept on disk (default: 2)",
-    )
-    serve_parser.add_argument(
-        "--no-group-commit",
-        action="store_true",
-        help="fsync per append instead of coalescing each worker "
-        "cycle's appends into one fsync",
-    )
-    serve_parser.add_argument(
-        "--no-binary",
-        action="store_true",
-        help="serve JSON-lines only (decline binary negotiation)",
     )
     serve_parser.set_defaults(func=_cmd_serve)
 

@@ -310,11 +310,13 @@ class WalWriter:
       ``segment_max_bytes`` a new ``wal-NNNNNNNN.log`` is started (a
       single record larger than the limit still goes through — it
       simply gets a segment to itself).
-    - **fsync batching**: ``fsync_interval=1`` fsyncs every append
-      (strongest durability); ``n > 1`` fsyncs every n-th append and
-      on :meth:`sync` / :meth:`close`, trading the tail of the log for
-      throughput — exactly the torn tail :meth:`WalReader.replay`
-      tolerates.
+    - **Durability**: an append outside a group-commit window fsyncs
+      before it returns; appends inside a window (:meth:`begin_group`
+      … :meth:`end_group`) share that window's single fsync.
+    - **Fail-stop**: a failed fsync raises :class:`WalError` and
+      poisons the writer — every later append, window, or sync raises
+      the same error.  The kernel may already have dropped the dirty
+      pages, so a retried fsync that "succeeds" proves nothing.
 
     Reopening a directory with existing segments first runs
     :meth:`WalReader.repair` — a torn tail left by a crash is
@@ -331,20 +333,14 @@ class WalWriter:
         self,
         directory: Union[str, Path],
         segment_max_bytes: int = 1 << 20,
-        fsync_interval: int = 1,
     ) -> None:
         if segment_max_bytes <= 0:
             raise WalError(
                 f"segment_max_bytes must be positive, got {segment_max_bytes}"
             )
-        if fsync_interval <= 0:
-            raise WalError(
-                f"fsync_interval must be positive, got {fsync_interval}"
-            )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_max_bytes = segment_max_bytes
-        self.fsync_interval = fsync_interval
         existing = _list_segments(self.directory)
         if existing:
             reader = WalReader(self.directory)
@@ -362,6 +358,9 @@ class WalWriter:
         self._unsynced = 0
         self._group_depth = 0
         self._file = None
+        #: The error of a failed fsync; once set, the writer refuses
+        #: all further work.
+        self.failure: Optional[WalError] = None
         #: Count of fsync syscalls issued (durability barriers).
         self.fsyncs = 0
         #: Cumulative records covered by those fsyncs.
@@ -397,10 +396,25 @@ class WalWriter:
         self._segment_index += 1
         self._open_segment()
 
+    def _check_usable(self) -> None:
+        if self.failure is not None:
+            raise self.failure
+        if self._file is None:
+            raise WalError("WalWriter is closed")
+
     def _fsync(self) -> None:
+        if self.failure is not None:
+            raise self.failure
         if self._file is not None and self._unsynced:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            try:
+                self._file.flush()
+                os.fsync(self._file.fileno())
+            except OSError as error:
+                self.failure = WalError(
+                    f"{self.segment_path.name}: fsync failed with "
+                    f"{self._unsynced} unsynced record(s): {error}"
+                )
+                raise self.failure from error
             self.fsyncs += 1
             self.records_synced += self._unsynced
             self.last_fsync_records = self._unsynced
@@ -411,11 +425,11 @@ class WalWriter:
     def append(self, payload: bytes) -> int:
         """Frame and append ``payload``; returns its assigned lsn.
 
-        The record is durable once the batched fsync covering it has
-        run (immediately when ``fsync_interval == 1``).
+        Outside a group-commit window the record is fsynced before
+        this returns; inside one it is durable once :meth:`end_group`
+        returns.
         """
-        if self._file is None:
-            raise WalError("WalWriter is closed")
+        self._check_usable()
         if self._segment_bytes and (
             self._segment_bytes + _WAL_HEADER.size + len(payload)
             > self.segment_max_bytes
@@ -427,25 +441,21 @@ class WalWriter:
         self._file.write(frame)
         self._segment_bytes += len(frame)
         self._unsynced += 1
-        if (
-            self._group_depth == 0
-            and self._unsynced >= self.fsync_interval
-        ):
+        if self._group_depth == 0:
             self._fsync()
         return lsn
 
     def begin_group(self) -> None:
         """Open a group-commit window: appends defer their fsync.
 
-        Inside the window no append fsyncs, regardless of
-        ``fsync_interval`` — every record written before the matching
-        :meth:`end_group` becomes durable together, under **one**
-        fsync.  Callers must not release durability acks for the
-        window's records until :meth:`end_group` returns.  Windows
-        nest; only the outermost ``end_group`` syncs.
+        Inside the window no append fsyncs — every record written
+        before the matching :meth:`end_group` becomes durable
+        together, under **one** fsync.  Callers must not release
+        durability acks for the window's records until
+        :meth:`end_group` returns (and must fail them if it raises).
+        Windows nest; only the outermost ``end_group`` syncs.
         """
-        if self._file is None:
-            raise WalError("WalWriter is closed")
+        self._check_usable()
         self._group_depth += 1
 
     def end_group(self) -> int:
@@ -476,8 +486,7 @@ class WalWriter:
         uses this so its marker record (and everything after it) lands
         in a segment the subsequent truncation will keep.
         """
-        if self._file is None:
-            raise WalError("WalWriter is closed")
+        self._check_usable()
         self._rotate()
         return self.segment_path
 
@@ -513,10 +522,14 @@ class WalWriter:
         return removed
 
     def close(self) -> None:
+        """Fsync and close; a failed writer just releases its file."""
         if self._file is not None:
-            self._fsync()
-            self._file.close()
-            self._file = None
+            try:
+                if self.failure is None:
+                    self._fsync()
+            finally:
+                self._file.close()
+                self._file = None
 
     def __enter__(self) -> "WalWriter":
         return self

@@ -10,12 +10,13 @@ EventDriver` contract, implemented here by
 
 - :mod:`repro.serve.driver` — the asyncio
   :class:`~repro.sim.engine.EventDriver` (loop time + ``call_later``),
-- :mod:`repro.serve.wire` — the binary wire codec shared by the
-  protocol-v3 frames and the journal's binary record format (LEB128
-  varints, length-prefixed strings, reused encode buffers),
+- :mod:`repro.serve.wire` — the one binary codec, shared by the
+  protocol-v3 frames and every journal record (LEB128 varints,
+  length-prefixed strings, reused encode buffers),
 - :mod:`repro.serve.journal` — :class:`JournaledSystem`:
   log-before-apply journalling of every mutation onto the
-  write-ahead log (:mod:`repro.cluster.storage`) with group commit,
+  write-ahead log (:mod:`repro.cluster.storage`), fsynced per
+  group-commit window,
   plus :meth:`~JournaledSystem.checkpoint` snapshots and
   tail-only crash recovery — a recovered system is bit-identical to
   a never-crashed twin,
@@ -26,9 +27,9 @@ EventDriver` contract, implemented here by
   total order (micro-batching, WAL commit windows, admission
   control, backpressure, graceful drain),
 - :mod:`repro.serve.server` / :mod:`repro.serve.client` — the TCP
-  front end (``python -m repro serve``) speaking both binary v3
-  frames and JSON-lines v2, and its blocking client, with
-  ``repro.obs`` metrics exposed in Prometheus text format.
+  front end (``python -m repro serve``) speaking binary protocol v3
+  frames, and its blocking client, with ``repro.obs`` metrics
+  exposed in Prometheus text format.
 """
 
 from .client import ServiceClient, ServiceClientError

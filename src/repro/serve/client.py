@@ -1,38 +1,34 @@
-"""Blocking client for the service protocols (binary v3 and JSON).
+"""Blocking client for the service's binary protocol v3.
 
-A thin stdlib-socket wrapper over the protocols of
+A thin stdlib-socket wrapper over the protocol of
 :mod:`repro.serve.server`, for scripts, smoke tests, and operators'
 one-liners — anything that does not want an event loop of its own.
-Each call sends one request and blocks for its response; error
-responses raise :class:`ServiceClientError` carrying the server-side
-exception name.
+Each call sends one frame and blocks for its answer; an error frame
+raises :class:`ServiceClientError` carrying the server-side exception
+name.
 
-By default the client *negotiates*: it opens with the binary hello
-line and, if the server answers with a JSON error (the signature of
-a pre-v3 or binary-disabled server), falls back to JSON-lines
-transparently.  ``protocol="json"`` skips the hello entirely;
-``protocol="binary"`` makes fallback an error instead.  On a binary
-connection the hot calls (:meth:`ingest`, :meth:`ingest_batch`,
-:meth:`register_query`) go as compact frames through one reused
-encode buffer, and everything else rides a JSON envelope frame —
-the whole surface works on either transport.
+The data-plane calls (:meth:`~ServiceClient.ping`,
+:meth:`~ServiceClient.ingest`, :meth:`~ServiceClient.ingest_batch`,
+:meth:`~ServiceClient.subscribe`) have their own opcodes and share one
+reused encode buffer; the admin calls ride the JSON envelope
+(:meth:`~ServiceClient.request`).
 """
 
 from __future__ import annotations
 
 import json
 import socket
-from collections import Counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ..errors import ProtocolError, ServiceError
+from ..model import Document
 from . import wire
 from .wire import WireDecoder, WireEncoder
 
 
 class ServiceClientError(ServiceError):
-    """An ``{"ok": false}`` response; ``error`` names the server-side
-    exception class (e.g. ``AdmissionError``)."""
+    """An error frame; ``error`` names the server-side exception class
+    (e.g. ``AdmissionError``)."""
 
     def __init__(self, error: str, message: str) -> None:
         super().__init__(f"{error}: {message}")
@@ -41,114 +37,41 @@ class ServiceClientError(ServiceError):
 
 
 class ServiceClient:
-    """One TCP connection speaking the JSON-lines protocol.
+    """One TCP connection speaking protocol v3.
 
-    On connect the client pings the server and records the protocol
-    version it advertises (:attr:`server_protocol`; a response without
-    the field is a v1 server).  A server *newer* than this client is
-    rejected outright — its responses may not mean what we think —
-    while an older server stays usable for the ops it supports;
-    v2-only calls such as :meth:`register_query` raise a clear
-    client-side error instead of an opaque server one.
+    Connecting sends the :data:`~repro.serve.wire.HELLO` line; a server
+    that does not answer with :data:`~repro.serve.wire.HELLO_ACK` is
+    refused with :class:`~repro.errors.ProtocolError`.
     """
-
-    #: Highest JSON protocol version this client speaks.
-    PROTOCOL_VERSION = 2
-    #: Highest binary protocol version this client speaks.
-    BINARY_PROTOCOL_VERSION = wire.BINARY_PROTOCOL_VERSION
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
         timeout: float = 10.0,
-        protocol: str = "auto",
     ) -> None:
-        if protocol not in ("auto", "binary", "json"):
-            raise ServiceError(
-                f"protocol must be 'auto', 'binary', or 'json', "
-                f"got {protocol!r}"
-            )
         self._sock = socket.create_connection(
             (host, port), timeout=timeout
         )
         self._file = self._sock.makefile("rwb")
-        #: True once binary framing was negotiated.
-        self.binary = False
-        #: Binary protocol version the server speaks (0 on JSON).
-        self.server_binary_protocol = 0
         self._enc = WireEncoder()
-        if protocol in ("auto", "binary"):
-            self._negotiate_binary(must_succeed=protocol == "binary")
-        if self.binary:
-            versions = self._binary_ping()
-            self.server_binary_protocol, self.server_protocol = versions
-            if (
-                self.server_binary_protocol
-                > self.BINARY_PROTOCOL_VERSION
-            ):
-                self.close()
-                raise ServiceError(
-                    f"server speaks binary protocol "
-                    f"{self.server_binary_protocol}, newer than this "
-                    f"client (max {self.BINARY_PROTOCOL_VERSION}); "
-                    "upgrade the client"
-                )
-        else:
-            response = self.request({"op": "ping"})
-            self.server_protocol = int(response.get("protocol", 1))
-            self.server_binary_protocol = int(
-                response.get("binary_protocol", 0)
-            )
-        if self.server_protocol > self.PROTOCOL_VERSION:
+        self._file.write(wire.HELLO)
+        self._file.flush()
+        ack = self._file.readline()
+        if ack != wire.HELLO_ACK:
             self.close()
-            raise ServiceError(
-                f"server speaks protocol {self.server_protocol}, "
-                f"newer than this client "
-                f"(max {self.PROTOCOL_VERSION}); upgrade the client"
+            raise ProtocolError(
+                f"server did not acknowledge the protocol hello "
+                f"(answered {ack[:40]!r})"
             )
 
     # -- plumbing ---------------------------------------------------------
-
-    def _negotiate_binary(self, must_succeed: bool) -> None:
-        """Send the hello; flip to binary if the server acks.
-
-        A pre-v3 (or binary-disabled) server parses the hello as a
-        broken JSON line and answers ``{"ok": false, ...}`` — read
-        as the fallback signal.  Anything else on the wire is a
-        protocol violation.
-        """
-        self._file.write(wire.HELLO)
-        self._file.flush()
-        response = self._file.readline()
-        if response == wire.HELLO_ACK:
-            self.binary = True
-            return
-        if must_succeed:
-            self.close()
-            raise ServiceError(
-                "server declined binary negotiation and "
-                "protocol='binary' forbids JSON fallback"
-            )
-        if not response.startswith(b"{"):
-            self.close()
-            raise ProtocolError(
-                f"unexpected negotiation response {response[:40]!r}"
-            )
-        # JSON error line consumed; the connection continues as
-        # plain JSON-lines from here.
-
-    def _binary_ping(self) -> tuple:
-        enc = self._enc.reset()
-        enc.u8(wire.OP_PING)
-        dec = self._roundtrip_frame(enc.frame())
-        return dec.varint(), dec.varint()
 
     def _roundtrip_frame(self, frame: bytes) -> WireDecoder:
         """Send one frame; return a decoder past the OK status byte.
 
         Error frames raise :class:`ServiceClientError` with the
-        server-side exception name, exactly like JSON error objects.
+        server-side exception name.
         """
         self._file.write(frame)
         self._file.flush()
@@ -174,32 +97,12 @@ class ServiceClient:
         raise ProtocolError(f"unknown response status {status:#04x}")
 
     def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one request object; return the decoded response.
-
-        On a binary connection the object rides a JSON envelope
-        frame; either way an error response raises
-        :class:`ServiceClientError`.
-        """
-        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
-        if self.binary:
-            enc = self._enc.reset()
-            enc.u8(wire.OP_JSON)
-            enc.raw(encoded)
-            dec = self._roundtrip_frame(enc.frame())
-            response = json.loads(dec.string())
-        else:
-            self._file.write(encoded + b"\n")
-            self._file.flush()
-            line = self._file.readline()
-            if not line:
-                raise ServiceError("server closed the connection")
-            response = json.loads(line)
-        if not response.get("ok", False):
-            raise ServiceClientError(
-                response.get("error", "unknown"),
-                response.get("message", ""),
-            )
-        return response
+        """Send one admin request object in a JSON envelope frame;
+        return the decoded ``{"ok": true, ...}`` response."""
+        enc = self._enc.reset()
+        enc.u8(wire.OP_JSON)
+        enc.raw(json.dumps(payload, sort_keys=True).encode("utf-8"))
+        return json.loads(self._roundtrip_frame(enc.frame()).string())
 
     def close(self) -> None:
         try:
@@ -216,66 +119,30 @@ class ServiceClient:
     # -- protocol surface -------------------------------------------------
 
     def ping(self) -> bool:
-        return bool(self.request({"op": "ping"}).get("pong"))
+        """True when the server answers a ping in protocol v3."""
+        enc = self._enc.reset()
+        enc.u8(wire.OP_PING)
+        dec = self._roundtrip_frame(enc.frame())
+        return dec.varint() == wire.BINARY_PROTOCOL_VERSION
 
-    def register(
-        self, filter_id: str, terms: Iterable[str], owner: str = ""
-    ) -> None:
-        self.request(
-            {
-                "op": "register",
-                "filter_id": filter_id,
-                "terms": sorted(terms),
-                "owner": owner,
-            }
-        )
+    def subscribe(self, items: Iterable[Any]) -> List[str]:
+        """Register subscriptions; returns their ids in input order.
 
-    def register_batch(
-        self, filters: Iterable[Mapping[str, Any]]
-    ) -> int:
-        response = self.request(
-            {"op": "register_batch", "filters": list(filters)}
-        )
-        return int(response["registered"])
-
-    def register_query(
-        self,
-        query: str,
-        query_id: Optional[str] = None,
-        owner: str = "",
-    ) -> str:
-        """Register a boolean query subscription; returns its id.
-
-        Requires a protocol-v2 server; against a v1 server this
-        raises client-side rather than letting the server answer
-        with an unintelligible ``unknown op`` error.
+        Items are anything :meth:`DisseminationSystem.subscribe
+        <repro.baselines.base.DisseminationSystem.subscribe>` takes:
+        :class:`~repro.model.Filter` / :class:`~repro.model.
+        Subscription` objects, bare query text (the server assigns
+        the id), or ``(id, query[, owner])`` tuples.  A malformed
+        query raises with ``error == "QueryError"``.
         """
-        if self.server_protocol < 2:
-            raise ServiceError(
-                "register_query needs a protocol>=2 server; this one "
-                f"speaks protocol {self.server_protocol}"
-            )
-        if self.binary:
-            if query_id is None:
-                item: Any = query
-            elif owner:
-                item = (str(query_id), query, owner)
-            else:
-                item = (str(query_id), query)
-            enc = self._enc.reset()
-            enc.u8(wire.OP_SUBSCRIBE)
-            enc.varint(1)
+        entries = list(items)
+        enc = self._enc.reset()
+        enc.u8(wire.OP_SUBSCRIBE)
+        enc.varint(len(entries))
+        for item in entries:
             wire.encode_subscribe_item(enc, item)
-            dec = self._roundtrip_frame(enc.frame())
-            count = dec.varint()
-            ids = [dec.string() for _ in range(count)]
-            return ids[0]
-        payload: Dict[str, Any] = {"op": "register_query", "query": query}
-        if query_id is not None:
-            payload["query_id"] = query_id
-        if owner:
-            payload["owner"] = owner
-        return str(self.request(payload)["query_id"])
+        dec = self._roundtrip_frame(enc.frame())
+        return [dec.string() for _ in range(dec.varint())]
 
     def unregister(self, filter_id: str) -> None:
         self.request({"op": "unregister", "filter_id": filter_id})
@@ -284,24 +151,19 @@ class ServiceClient:
         self.request({"op": "finalize"})
 
     @staticmethod
-    def _counts(
+    def _document(
+        doc_id: str,
         terms: Optional[Iterable[str]],
         term_counts: Optional[Mapping[str, int]],
-    ) -> Dict[str, int]:
+    ) -> Document:
         if term_counts is not None:
-            return {t: int(c) for t, c in term_counts.items()}
+            counts = {t: int(c) for t, c in term_counts.items()}
+            return Document(
+                doc_id=doc_id, terms=frozenset(counts), term_counts=counts
+            )
         if terms is not None:
-            return dict(Counter(terms))
+            return Document.from_terms(doc_id, terms)
         raise ServiceError("ingest needs terms or term_counts")
-
-    def _encode_doc_body(
-        self, enc: WireEncoder, doc_id: str, counts: Dict[str, int]
-    ) -> None:
-        enc.string(doc_id)
-        enc.varint(len(counts))
-        for term in sorted(counts):
-            enc.string(term)
-            enc.varint(counts[term])
 
     def ingest(
         self,
@@ -311,22 +173,15 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """Publish one document; returns the plan summary
         (``matched`` filter ids, ``fanout``, ``posting_entries``)."""
-        if self.binary:
-            counts = self._counts(terms, term_counts)
-            enc = self._enc.reset()
-            enc.u8(wire.OP_INGEST)
-            self._encode_doc_body(enc, doc_id, counts)
-            dec = self._roundtrip_frame(enc.frame())
-            summary = wire.decode_plan_summary(dec)
-            return {"ok": True, "doc_id": doc_id, **summary}
-        payload: Dict[str, Any] = {"op": "ingest", "doc_id": doc_id}
-        if term_counts is not None:
-            payload["term_counts"] = dict(term_counts)
-        elif terms is not None:
-            payload["terms"] = list(terms)
-        else:
-            raise ServiceError("ingest needs terms or term_counts")
-        return self.request(payload)
+        enc = self._enc.reset()
+        enc.u8(wire.OP_INGEST)
+        wire.encode_document(
+            enc, self._document(doc_id, terms, term_counts)
+        )
+        summary = wire.decode_plan_summary(
+            self._roundtrip_frame(enc.frame())
+        )
+        return {"doc_id": doc_id, **summary}
 
     def ingest_batch(
         self, docs: Iterable[Mapping[str, Any]]
@@ -339,24 +194,22 @@ class ServiceClient:
         entries = list(docs)
         if not entries:
             return []
-        if self.binary:
-            enc = self._enc.reset()
-            enc.u8(wire.OP_INGEST_BATCH)
-            enc.varint(len(entries))
-            for entry in entries:
-                counts = self._counts(
-                    entry.get("terms"), entry.get("term_counts")
-                )
-                self._encode_doc_body(enc, entry["doc_id"], counts)
-            dec = self._roundtrip_frame(enc.frame())
-            plans = wire.decode_plans(dec)
-            for entry, plan in zip(entries, plans):
-                plan["doc_id"] = entry["doc_id"]
-            return plans
-        response = self.request(
-            {"op": "ingest_batch", "docs": entries}
-        )
-        return list(response["plans"])
+        enc = self._enc.reset()
+        enc.u8(wire.OP_INGEST_BATCH)
+        enc.varint(len(entries))
+        for entry in entries:
+            wire.encode_document(
+                enc,
+                self._document(
+                    entry["doc_id"],
+                    entry.get("terms"),
+                    entry.get("term_counts"),
+                ),
+            )
+        plans = wire.decode_plans(self._roundtrip_frame(enc.frame()))
+        for entry, plan in zip(entries, plans):
+            plan["doc_id"] = entry["doc_id"]
+        return plans
 
     def reallocate(
         self,

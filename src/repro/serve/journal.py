@@ -17,8 +17,10 @@ exactly this.
 
 Two details make the equivalence structural rather than hopeful:
 
-- operations are applied *from their decoded journal form* even on
-  the live path, so live apply and replay apply execute identical
+- every record goes through the one record codec of
+  :mod:`repro.serve.wire`, and the live path applies inputs already in
+  the canonical form that codec's decoder rebuilds (sorted term order,
+  str-ified tuples), so live apply and replay apply execute identical
   inputs;
 - replay tracks the last applied lsn and skips records at or below
   it, so replaying a log twice (or resuming a partially replayed
@@ -34,21 +36,27 @@ application-level exception and moves past the record.  Because the
 apply path is deterministic, the re-raised error leaves state exactly
 as the original did, preserving bit-identity.  Only WAL-integrity
 errors (:class:`~repro.errors.WalError` and subclasses) abort
-recovery.
+recovery — including a record that does not decode (for example one
+written by a build with a different record format): recovery names
+its lsn and refuses to boot rather than skip it.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..cluster.storage import WalReader, WalWriter, _list_segments
-from ..errors import SnapshotError, WalCorruptionError, WalError
+from ..errors import (
+    ProtocolError,
+    SnapshotError,
+    WalCorruptionError,
+    WalError,
+)
 from ..experiments.harness import build_cluster, make_system
-from ..model import Document, Filter, Subscription
+from ..model import Document, Filter
 from ..obs import NULL_TRACER, get_default_tracer
 from ..sim.engine import PERF_CLOCK
 from .snapshot import (
@@ -58,98 +66,7 @@ from .snapshot import (
     snapshot_lsn,
     write_snapshot,
 )
-from .wire import RECORD_MAGIC, WireEncoder, decode_record, encode_record
-
-
-def _encode_filter(profile: Filter) -> Dict[str, Any]:
-    return {
-        "filter_id": profile.filter_id,
-        "terms": sorted(profile.terms),
-        "owner": profile.owner,
-    }
-
-
-def _decode_filter(data: Dict[str, Any]) -> Filter:
-    return Filter.from_terms(
-        data["filter_id"], data["terms"], owner=data.get("owner", "")
-    )
-
-
-def _encode_subscribe_item(item: Any) -> Dict[str, Any]:
-    """Encode one ``subscribe`` item *preserving its input shape*.
-
-    Replay re-runs ``subscribe`` on the decoded items, so bare query
-    text must stay bare text — resolving auto-assigned ids at encode
-    time would desynchronize the subscription-id sequence between the
-    live system and its recovered twin.
-    """
-    if isinstance(item, Subscription):
-        return {
-            "kind": "subscription",
-            "filter_id": item.filter_id,
-            "terms": sorted(item.terms),
-            "owner": item.owner,
-            "query": item.query,
-        }
-    if isinstance(item, Filter):
-        return {"kind": "filter", **_encode_filter(item)}
-    if isinstance(item, str):
-        return {"kind": "query", "text": item}
-    if isinstance(item, tuple):
-        return {"kind": "pair", "values": [str(v) for v in item]}
-    raise TypeError(
-        f"cannot journal subscription item of type {type(item).__name__}"
-    )
-
-
-def _decode_subscribe_item(data: Dict[str, Any]) -> Any:
-    kind = data["kind"]
-    if kind == "subscription":
-        return Subscription(
-            filter_id=data["filter_id"],
-            terms=frozenset(data["terms"]),
-            owner=data.get("owner", ""),
-            query=data.get("query", ""),
-        )
-    if kind == "filter":
-        return _decode_filter(data)
-    if kind == "query":
-        return data["text"]
-    if kind == "pair":
-        return tuple(data["values"])
-    raise WalError(f"unknown subscribe item kind {kind!r}")
-
-
-def _encode_document(document: Document) -> Dict[str, Any]:
-    return {
-        "doc_id": document.doc_id,
-        "term_counts": {
-            term: document.term_counts[term]
-            for term in sorted(document.terms)
-        },
-    }
-
-
-def _decode_document(data: Dict[str, Any]) -> Document:
-    counts = data["term_counts"]
-    return Document(
-        doc_id=data["doc_id"],
-        terms=frozenset(counts),
-        term_counts=dict(counts),
-    )
-
-
-def _decode_payload(payload: bytes) -> Dict[str, Any]:
-    """Decode one journal payload, JSON or binary.
-
-    One byte discriminates: binary records start with
-    :data:`~repro.serve.wire.RECORD_MAGIC`, JSON records with ``{``.
-    Journals written before the binary codec existed are all-JSON and
-    replay unchanged.
-    """
-    if payload and payload[0] == RECORD_MAGIC:
-        return decode_record(payload)
-    return json.loads(payload)
+from .wire import WireEncoder, decode_record, encode_record
 
 
 def _is_sorted(terms: Sequence[str]) -> bool:
@@ -159,9 +76,9 @@ def _is_sorted(terms: Sequence[str]) -> bool:
 def _canonical_document(document: Document) -> Document:
     """``document`` with term_counts in sorted insertion order.
 
-    The binary journal path applies the *same object* it encodes, so
-    the object must already be in the canonical order a replay decode
-    will reconstruct — otherwise live and recovered twins would
+    The journal applies the *same object* it encodes, so the object
+    must already be in the canonical order a replay decode will
+    reconstruct — otherwise live and recovered twins would
     iterate ``term_counts`` differently.  Documents decoded by the
     wire protocol arrive sorted already, so the common service path
     takes the no-copy branch.
@@ -179,11 +96,10 @@ def _canonical_document(document: Document) -> Document:
 
 
 def _canonical_subscribe_item(item: Any) -> Any:
-    """Match the JSON codec's normalization for the binary path.
+    """``item`` as the record decoder will rebuild it.
 
-    Tuples are str-ified at encode time (the JSON codec did the same
-    via ``[str(v) for v in item]``), so the live apply must see the
-    str-ified form too.  Every other item kind round-trips as-is.
+    Tuples are str-ified at encode time, so the live apply must see
+    the str-ified form too.  Every other item kind round-trips as-is.
     """
     if isinstance(item, tuple):
         return tuple(str(v) for v in item)
@@ -216,7 +132,6 @@ class JournaledSystem:
         seed: int = 0,
         threshold: Optional[float] = None,
         segment_max_bytes: int = 1 << 20,
-        fsync_interval: int = 1,
         snapshot_retain: int = 2,
     ) -> None:
         self.directory = Path(directory)
@@ -246,7 +161,7 @@ class JournaledSystem:
         self.last_checkpoint_seconds = 0.0
         self.last_checkpoint_bytes = 0
         self.last_checkpoint_segments_removed = 0
-        #: Reused encode buffer for the binary record codec.
+        #: Reused encode buffer for the record codec.
         self._enc = WireEncoder()
         recovered = False
         if _list_segments(self.directory) or list_snapshots(
@@ -259,21 +174,18 @@ class JournaledSystem:
                 "num_nodes": num_nodes,
                 "node_capacity": node_capacity,
                 "seed": seed,
-                "threshold": threshold,
+                "threshold": (
+                    None if threshold is None else float(threshold)
+                ),
             }
             self.system = self._build(self.setup)
         self._writer = WalWriter(
-            self.directory,
-            segment_max_bytes=segment_max_bytes,
-            fsync_interval=fsync_interval,
+            self.directory, segment_max_bytes=segment_max_bytes
         )
         if not recovered:
-            self._writer.append(
-                json.dumps(
-                    {"op": "setup", **self.setup}, sort_keys=True
-                ).encode("utf-8")
+            self.last_applied_lsn = self._writer.append(
+                encode_record(self._enc, {"op": "setup", **self.setup})
             )
-            self.last_applied_lsn = self._writer.next_lsn - 1
 
     # -- construction / recovery -----------------------------------------
 
@@ -344,11 +256,11 @@ class JournaledSystem:
             lsn, payload = next(records)
         except StopIteration:
             return False
-        first = json.loads(payload)
-        if first.get("op") != "setup":
+        first = self._decode(lsn, payload)
+        if first["op"] != "setup":
             raise WalError(
                 f"{self.directory}: first journal record is "
-                f"{first.get('op')!r}, expected 'setup' — with no "
+                f"{first['op']!r}, expected 'setup' — with no "
                 "usable snapshot, a truncated journal cannot be "
                 "replayed from scratch"
             )
@@ -356,9 +268,20 @@ class JournaledSystem:
         self.system = self._build(self.setup)
         self.last_applied_lsn = lsn
         for lsn, payload in records:
-            if self.replay_record(lsn, _decode_payload(payload)):
+            if self.replay_record(lsn, self._decode(lsn, payload)):
                 self.recovery_replayed_records += 1
         return True
+
+    def _decode(self, lsn: int, payload: bytes) -> Dict[str, Any]:
+        """Decode one record; a record that does not decode aborts
+        recovery with a :class:`WalError` naming its lsn."""
+        try:
+            return decode_record(payload)
+        except ProtocolError as error:
+            raise WalError(
+                f"{self.directory}: journal record at lsn {lsn} does "
+                f"not decode ({error}); refusing to recover past it"
+            ) from error
 
     def _replay_tail(self, reader: WalReader, after: int) -> None:
         """Replay every record above ``after``, verifying contiguity.
@@ -382,7 +305,7 @@ class JournaledSystem:
                     "were lost"
                 )
             expected += 1
-            if self.replay_record(lsn, _decode_payload(payload)):
+            if self.replay_record(lsn, self._decode(lsn, payload)):
                 self.recovery_replayed_records += 1
 
     def replay_record(self, lsn: int, record: Dict[str, Any]) -> bool:
@@ -410,45 +333,21 @@ class JournaledSystem:
     # -- the single apply path --------------------------------------------
 
     def _apply(self, record: Dict[str, Any]) -> Any:
-        """Apply one record, in JSON-dict or binary-decoded form.
-
-        The hot ops arrive in two shapes: the JSON codec's dicts (from
-        old journals and the non-hot live path) and the binary codec's
-        model objects (from binary journals and the binary live path).
-        Both shapes construct identical apply inputs — the binary
-        decoder builds documents/filters in the same canonical sorted
-        order the JSON decoder does.
-        """
+        """Apply one record in the form :func:`decode_record` returns."""
         op = record["op"]
         system = self.system
         if op == "publish_batch":
-            docs = record["docs"]
-            if docs and isinstance(docs[0], dict):
-                docs = [_decode_document(d) for d in docs]
-            return system.publish_batch(docs)
-        if op == "register":
-            return system._admit_one(_decode_filter(record["filter"]))
-        if op == "register_batch":
-            profiles = record["filters"]
-            if profiles and isinstance(profiles[0], dict):
-                profiles = [_decode_filter(f) for f in profiles]
-            return system._admit_batch(profiles)
+            return system.publish_batch(record["docs"])
         if op == "subscribe":
-            items = [
-                _decode_subscribe_item(i) if isinstance(i, dict) else i
-                for i in record["items"]
-            ]
             return system.subscribe(
-                items, chunk_size=record.get("chunk_size")
+                record["items"], chunk_size=record["chunk_size"]
             )
         if op == "unregister":
             return system.unregister(record["filter_id"])
         if op == "finalize":
             return system.finalize_registration()
         if op == "seed_frequencies":
-            return system.seed_frequencies(
-                [_decode_document(d) for d in record["docs"]]
-            )
+            return system.seed_frequencies(record["docs"])
         if op == "reallocate":
             return system.reallocate(
                 force=record["force"],
@@ -464,14 +363,15 @@ class JournaledSystem:
         raise WalError(f"unknown journal op {op!r}")
 
     def _log_and_apply(self, record: Dict[str, Any]) -> Any:
-        # The encoders above emit only JSON-pure values with sorted
-        # structures, so ``record == json.loads(json.dumps(record))``
-        # holds and the record can be applied directly — one encode
-        # for the log, no sort_keys re-canonicalization, no decode
-        # round-trip on the live path.  Replay still applies the
-        # loads() form, which is the same structure by construction.
-        payload = json.dumps(record).encode("utf-8")
-        lsn = self._writer.append(payload)
+        """Log ``record``, then apply it.
+
+        ``record`` carries live model objects; the codec canonicalizes
+        them into bytes once, and the same objects are applied — valid
+        because callers pre-canonicalize (sorted term order, str-ified
+        tuples, plain bools and floats) so encode → decode
+        reconstructs equal inputs.
+        """
+        lsn = self._writer.append(encode_record(self._enc, record))
         try:
             return self._apply(record)
         finally:
@@ -480,42 +380,7 @@ class JournaledSystem:
             # failed records the same way the live path did.
             self.last_applied_lsn = lsn
 
-    def _log_binary_and_apply(self, record: Dict[str, Any]) -> Any:
-        """Hot-op twin of :meth:`_log_and_apply`: binary record codec.
-
-        ``record`` carries live model objects; the codec canonicalizes
-        them into bytes once, and the same objects are applied — valid
-        because callers pre-canonicalize (sorted term order, str-ified
-        tuples) so encode → decode reconstructs equal inputs.
-        """
-        payload = encode_record(self._enc, record)
-        lsn = self._writer.append(payload)
-        try:
-            return self._apply(record)
-        finally:
-            self.last_applied_lsn = lsn
-
     # -- journalled mutations ---------------------------------------------
-
-    def register(self, profile: Filter) -> None:
-        # Wire-op application surface: the v1 ``register`` op lands
-        # here, so it stays warning-free (unlike the system shim).
-        self._log_and_apply(
-            {"op": "register", "filter": _encode_filter(profile)}
-        )
-
-    def register_batch(self, profiles: Iterable[Filter]) -> None:
-        batch = list(profiles)
-        if not batch:
-            return
-        self._log_binary_and_apply(
-            {"op": "register_batch", "filters": batch}
-        )
-
-    # The runtime command table targets the non-warning admission
-    # names uniformly across journalled and bare backends.
-    _admit_one = register
-    _admit_batch = register_batch
 
     def subscribe(
         self, items: Iterable[Any], *, chunk_size: Optional[int] = None
@@ -523,7 +388,7 @@ class JournaledSystem:
         canonical = [_canonical_subscribe_item(i) for i in items]
         if not canonical:
             return []
-        return self._log_binary_and_apply(
+        return self._log_and_apply(
             {
                 "op": "subscribe",
                 "items": canonical,
@@ -544,7 +409,7 @@ class JournaledSystem:
         self._log_and_apply(
             {
                 "op": "seed_frequencies",
-                "docs": [_encode_document(d) for d in corpus],
+                "docs": [_canonical_document(d) for d in corpus],
             }
         )
 
@@ -557,8 +422,10 @@ class JournaledSystem:
         return self._log_and_apply(
             {
                 "op": "reallocate",
-                "force": force,
-                "drift_epsilon": drift_epsilon,
+                "force": bool(force),
+                "drift_epsilon": (
+                    None if drift_epsilon is None else float(drift_epsilon)
+                ),
             }
         )
 
@@ -569,7 +436,7 @@ class JournaledSystem:
     def publish_batch(self, documents: Sequence[Document]) -> List:
         if not documents:
             return []
-        return self._log_binary_and_apply(
+        return self._log_and_apply(
             {
                 "op": "publish_batch",
                 "docs": [_canonical_document(d) for d in documents],

@@ -2,7 +2,7 @@
 
 :class:`ServiceRuntime` is the live counterpart of the experiment
 harness: one dissemination system, one single-worker dataplane.  All
-mutations — documents *and* control commands (register, unregister,
+mutations — documents *and* control commands (subscribe, unregister,
 reallocate, …) — flow through one bounded :class:`asyncio.Queue`, so
 the worker applies them in a total order.  That ordering is what
 satisfies the pipeline's batch contract by construction: a command
@@ -18,6 +18,12 @@ Flow control has two layers:
 - **backpressure** — with the watermark at 1.0 (the default
   semantics of a full queue), ``await``-ing producers block in
   ``Queue.put`` until the worker drains.
+
+With a journal, every worker cycle is one WAL group-commit window:
+the records of every item drained in that cycle share one fsync, and
+no ack is released before it.  A failed fsync fails every ack of its
+window with the :class:`~repro.errors.WalError` and stops the runtime
+for good: queued work is refused with the same error, never applied.
 
 ``drain()`` stops intake, lets every accepted item complete, and
 stops the worker — the graceful half of shutdown; the crash half is
@@ -35,6 +41,7 @@ from ..errors import (
     ReproError,
     ServiceDrainingError,
     ServiceError,
+    WalError,
 )
 from ..experiments.harness import build_cluster, make_system
 from ..model import Document, Filter
@@ -65,7 +72,6 @@ class ServeConfig:
     threshold: Optional[float] = None
     wal_dir: Optional[str] = None
     segment_max_bytes: int = 1 << 20
-    fsync_interval: int = 1
     queue_capacity: int = 1_024
     admission_high_watermark: float = 1.0
     batch_max_docs: int = 64
@@ -77,10 +83,6 @@ class ServeConfig:
     #: never force — a tick below the drift gate is counted as
     #: skipped, not executed.
     drift_epsilon: Optional[float] = None
-    #: Coalesce every WAL append of one worker drain cycle into a
-    #: single fsync (durability acks released together).  Disable to
-    #: get the one-fsync-per-append behaviour of fsync_interval=1.
-    wal_group_commit: bool = True
     #: Seconds between automatic ``checkpoint()`` calls; ``None``
     #: leaves checkpointing to explicit operator commands.
     checkpoint_interval: Optional[float] = None
@@ -157,7 +159,6 @@ class ServiceRuntime:
                 seed=self.config.seed,
                 threshold=self.config.threshold,
                 segment_max_bytes=self.config.segment_max_bytes,
-                fsync_interval=self.config.fsync_interval,
                 snapshot_retain=self.config.snapshot_retain,
             )
             self.system = self.journal.system
@@ -187,6 +188,9 @@ class ServiceRuntime:
         self._refresh_handle = None
         self._checkpoint_handle = None
         self._draining = False
+        #: Set when a WAL fsync fails; the runtime then refuses all
+        #: work with this error.
+        self.failure: Optional[WalError] = None
 
     # -- lifecycle --------------------------------------------------------
 
@@ -251,7 +255,7 @@ class ServiceRuntime:
         await stop.future
         await self._worker
         self._worker = None
-        if self.journal is not None:
+        if self.journal is not None and self.failure is None:
             self.journal.sync()
 
     async def close(self) -> None:
@@ -265,6 +269,8 @@ class ServiceRuntime:
     def _check_intake(self) -> None:
         if self._queue is None:
             raise ServiceError("runtime not started")
+        if self.failure is not None:
+            raise self.failure
         if self._draining:
             raise ServiceDrainingError(
                 "runtime is draining; no new work accepted"
@@ -342,18 +348,15 @@ class ServiceRuntime:
 
         Commands share the document queue, so they serialize against
         in-flight batches (never inside one).  Supported ops mirror
-        the journal surface: ``register``, ``register_batch``,
-        ``subscribe``, ``unregister``, ``finalize``,
-        ``seed_frequencies``, ``reallocate``, ``rebalance``.
+        the journal surface: ``subscribe``, ``unregister``,
+        ``finalize``, ``seed_frequencies``, ``reallocate``,
+        ``rebalance``, ``checkpoint``.
         """
         self._check_intake()
         future = asyncio.get_running_loop().create_future()
         await self._queue.put(_Item(op, args, future))
         self.metrics.counter("serve.commands").add()
         return await future
-
-    async def register(self, profile: Filter) -> None:
-        await self.command("register", profile)
 
     async def subscribe(self, items: List[Any]) -> List[str]:
         return await self.command("subscribe", items)
@@ -373,8 +376,6 @@ class ServiceRuntime:
 
     async def _run(self) -> None:
         queue = self._queue
-        journal = self.journal
-        group = journal is not None and self.config.wal_group_commit
         while True:
             item = await queue.get()
             #: Deferred acks: ``(future, ok, plan-or-exception)``.
@@ -382,29 +383,38 @@ class ServiceRuntime:
             #: no producer observes success before its record's fsync.
             ready: List[Tuple["asyncio.Future", bool, Any]] = []
             stop: Optional[_Item] = None
-            if group:
+            journal = self.journal if self.failure is None else None
+            if journal is not None:
                 journal.begin_commit_window()
-            try:
-                # Drain the whole backlog under one durability window.
-                # Nothing awaits inside, so the queue cannot refill
-                # mid-window: the window is exactly the items queued
-                # when the worker woke (bounded by queue_capacity),
-                # and they all share a single fsync.
-                while item is not None:
-                    if item.kind == "doc":
-                        batch, item = self._collect_batch(item)
-                        self._publish(batch, ready)
-                        if item is None:
-                            item = self._next_nowait()
-                        continue
-                    if item.kind == "stop":
-                        stop = item
-                        break
-                    self._execute_command(item, ready)
+            # Drain the whole backlog under one durability window.
+            # Nothing awaits inside, so the queue cannot refill
+            # mid-window: the window is exactly the items queued when
+            # the worker woke (bounded by queue_capacity), and they all
+            # share a single fsync.
+            while item is not None:
+                if item.kind == "stop":
+                    stop = item
+                    break
+                if self.failure is not None:
+                    # Fail-stop: nothing is applied after a failed
+                    # fsync, so nothing can be acked on a retry.
+                    ready.append((item.future, False, self.failure))
                     item = self._next_nowait()
-            finally:
-                if group:
+                    continue
+                if item.kind == "doc":
+                    batch, item = self._collect_batch(item)
+                    self._publish(batch, ready)
+                    if item is None:
+                        item = self._next_nowait()
+                    continue
+                self._execute_command(item, ready)
+                item = self._next_nowait()
+            if journal is not None:
+                try:
                     journal.end_commit_window()
+                except WalError as error:
+                    self.failure = error
+                    ready = [(f, False, error) for f, _, _ in ready]
             for future, ok, value in ready:
                 if future.done():
                     continue
@@ -482,10 +492,6 @@ class ServiceRuntime:
         ready.append((item.future, True, result))
 
     _COMMANDS = {
-        # The v1 register ops target the non-warning admission names
-        # so service traffic never trips the deprecation shims.
-        "register": "_admit_one",
-        "register_batch": "_admit_batch",
         "subscribe": "subscribe",
         "unregister": "unregister",
         "finalize": "finalize_registration",
@@ -564,9 +570,6 @@ class ServiceRuntime:
         writer = journal.writer
         gauge = self.metrics.gauge
         gauge("serve.wal_fsyncs").set(float(writer.fsyncs))
-        gauge("serve.wal_group_commits").set(
-            float(writer.group_commits)
-        )
         per_fsync = (
             writer.records_synced / writer.fsyncs
             if writer.fsyncs

@@ -1,57 +1,32 @@
-"""TCP JSON-lines front end for the service runtime.
+"""TCP front end for the service runtime: binary protocol v3.
 
-One request per line, one JSON response per line — a protocol thin
-enough for ``nc`` and the stdlib, yet covering the full service
-surface: register / unregister / finalize, ingest, reallocate, stats,
-and a Prometheus ``metrics`` scrape.  Requests:
+A connection opens with the :data:`~repro.serve.wire.HELLO` line; the
+server answers :data:`~repro.serve.wire.HELLO_ACK` and from then on
+both sides speak the length-prefixed frames of
+:mod:`repro.serve.wire`.  A first line that is not the hello is
+answered with one ``ProtocolError`` error frame and the connection is
+closed.
 
-```
-{"op": "ping"}
-{"op": "register", "filter_id": "f1", "terms": ["alpha", "beta"]}
-{"op": "register_batch", "filters": [{"filter_id": ..., "terms": [...]}]}
-{"op": "register_query", "query": "llm AND (eval OR bench)", "query_id": "q1"}
-{"op": "unregister", "filter_id": "f1"}
-{"op": "finalize"}
-{"op": "ingest", "doc_id": "d1", "terms": ["alpha", "gamma"]}
-{"op": "reallocate"}
-{"op": "stats"}
-{"op": "metrics"}
-{"op": "shutdown"}
-```
+Data-plane ops have their own opcodes — ``OP_PING``, ``OP_INGEST``,
+``OP_INGEST_BATCH`` and ``OP_SUBSCRIBE`` (filters, subscriptions,
+query text, ``(id, query[, owner])`` tuples).  The cold admin ops ride
+``OP_JSON``, whose body is one JSON object::
 
-Responses carry ``{"ok": true, ...}`` or ``{"ok": false, "error":
-"<exception class>", "message": "..."}`` — overload surfaces as an
-``AdmissionError`` response, not a dropped connection, so clients can
-back off deliberately.
+    {"op": "unregister", "filter_id": "f1"}
+    {"op": "finalize"}
+    {"op": "reallocate", "force": false, "drift_epsilon": null}
+    {"op": "checkpoint"}
+    {"op": "stats"}
+    {"op": "metrics"}
+    {"op": "shutdown"}
 
-The JSON surface is **protocol version 2** (the ``ping`` response
-advertises it as ``"protocol": 2``); version 1 is the same wire
-format without ``register_query`` and without the version field.
-``register_query`` registers a boolean predicate subscription from
-query text — ``query_id`` is optional (the server assigns one and
-returns it), a malformed or NOT-only query comes back as a
-``QueryError`` response.
-
-Binary protocol v3
-------------------
-The same listener also speaks the length-prefixed binary protocol of
-:mod:`repro.serve.wire`, negotiated by the connection's **first
-line**: a client opening with the :data:`~repro.serve.wire.HELLO`
-line (first byte ``0x00``, impossible in JSON) gets the
-:data:`~repro.serve.wire.HELLO_ACK` line back and the connection
-switches to binary frames; any other first line is a JSON request
-and the connection stays JSON-lines forever.  Against a pre-v3
-server the hello is just an unparsable JSON line — the client reads
-the ``{"ok": false...`` response and falls back.  The JSON ``ping``
-advertises binary support as ``"binary_protocol": 3`` (the
-``protocol`` field stays 2, so old clients' newer-server check still
-passes).
-
-Binary frames cover the hot ops natively (ping / ingest /
-ingest_batch / subscribe) and wrap everything else as a JSON
-envelope (opcode 0), so one binary connection reaches the whole
-surface.  A corrupt or oversized frame is answered with a typed
-``ProtocolError`` frame and the connection survives.
+and whose answer is an OK frame carrying ``{"ok": true, ...}`` as JSON.
+Every failure comes back as an error frame naming the exception class
+(``AdmissionError`` for overload, ``QueryError`` for a malformed
+query, ``ProtocolError`` for a corrupt or oversized frame, …), so
+clients can react by type; after an error frame the connection keeps
+serving.  :class:`~repro.serve.client.ServiceClient` is the blocking
+client for all of it.
 """
 
 from __future__ import annotations
@@ -62,59 +37,24 @@ from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 from ..errors import ProtocolError, ReproError, ServiceError
-from ..model import Document, Filter
 from . import wire
 from .runtime import ServiceRuntime
 from .wire import WireDecoder, WireEncoder
 
-#: JSON wire protocol version advertised in the ``ping`` response
-#: (and the CLI's ``READY`` line).  v2 added ``register_query``; v1
-#: servers predate the field entirely.  The binary protocol is
-#: versioned separately (``wire.BINARY_PROTOCOL_VERSION``).
-PROTOCOL_VERSION = 2
-
-
-def _decode_ingest(request: Dict[str, Any]) -> Document:
-    doc_id = request["doc_id"]
-    if "term_counts" in request:
-        counts = {
-            term: int(count)
-            for term, count in request["term_counts"].items()
-        }
-        return Document(
-            doc_id=doc_id, terms=frozenset(counts), term_counts=counts
-        )
-    return Document.from_terms(doc_id, request["terms"])
-
-
-def _plan_summary(plan) -> Dict[str, Any]:
-    return {
-        "doc_id": plan.document.doc_id,
-        "matched": sorted(plan.matched_filter_ids),
-        "fanout": plan.fanout,
-        "posting_entries": plan.total_posting_entries,
-    }
-
 
 class ServiceServer:
-    """Asyncio TCP server bridging the line protocol to a runtime."""
+    """Asyncio TCP server bridging protocol v3 frames to a runtime."""
 
     def __init__(
         self,
         runtime: ServiceRuntime,
         host: str = "127.0.0.1",
         port: int = 0,
-        binary_enabled: bool = True,
         max_frame_bytes: int = wire.MAX_FRAME_BYTES,
     ) -> None:
         self.runtime = runtime
         self.host = host
         self.port = port
-        #: Accept binary-hello negotiation.  Disabled, the server
-        #: behaves exactly like a pre-v3 JSON-lines server (the hello
-        #: line gets a JSON error response and clients fall back) —
-        #: which is also how the interop tests emulate one.
-        self.binary_enabled = binary_enabled
         self.max_frame_bytes = max_frame_bytes
         self._server: Optional[asyncio.AbstractServer] = None
         #: Set when a ``shutdown`` request asks the process to exit.
@@ -149,26 +89,22 @@ class ServiceServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            first = await reader.readline()
-            if not first:
-                return
-            if first == wire.HELLO and self.binary_enabled:
-                await self._serve_binary(reader, writer)
-                return
-            # JSON-lines mode (a disabled-binary server answers the
-            # hello like any unparsable line, which is exactly what a
-            # pre-v3 server would do — clients fall back on it).
-            line = first
-            while True:
-                response = await self._dispatch_line(line)
+            try:
+                first = await reader.readline()
+            except ValueError:  # no newline within the buffer limit
+                first = b"<over-long line>"
+            if first == wire.HELLO:
+                await self._serve_frames(reader, writer)
+            elif first:
                 writer.write(
-                    json.dumps(response, sort_keys=True).encode("utf-8")
-                    + b"\n"
+                    wire.error_frame(
+                        WireEncoder(),
+                        "ProtocolError",
+                        f"expected the protocol hello {wire.HELLO!r} "
+                        f"as the first line, got {first[:40]!r}",
+                    )
                 )
                 await writer.drain()
-                line = await reader.readline()
-                if not line:
-                    break
         finally:
             writer.close()
             try:
@@ -176,12 +112,12 @@ class ServiceServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _serve_binary(
+    async def _serve_frames(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """The binary frame loop: one reused encoder per connection."""
+        """The frame loop: one reused encoder per connection."""
         enc = WireEncoder()
         writer.write(wire.HELLO_ACK)
         await writer.drain()
@@ -230,9 +166,9 @@ class ServiceServer:
         """Decode, execute, and encode one binary request frame.
 
         Any decode failure — truncated varints, bad UTF-8, an unknown
-        opcode — comes back as a ``ProtocolError`` frame; runtime
-        errors keep their own exception names, mirroring the JSON
-        surface's typed error objects.
+        opcode, a malformed JSON envelope — comes back as a
+        ``ProtocolError`` frame; runtime errors keep their own
+        exception names.
         """
         runtime = self.runtime
         try:
@@ -242,7 +178,6 @@ class ServiceServer:
                 enc.reset()
                 enc.u8(wire.STATUS_OK)
                 enc.varint(wire.BINARY_PROTOCOL_VERSION)
-                enc.varint(PROTOCOL_VERSION)
                 return enc.frame()
             if opcode == wire.OP_INGEST:
                 document = wire.decode_document(dec)
@@ -276,18 +211,16 @@ class ServiceServer:
                     enc.string(assigned)
                 return enc.frame()
             if opcode == wire.OP_JSON:
-                response = await self._dispatch_line(payload[1:])
+                response = await self._dispatch_json(payload[1:])
                 enc.reset()
                 enc.u8(wire.STATUS_OK)
                 enc.string(json.dumps(response, sort_keys=True))
                 return enc.frame()
             raise ProtocolError(f"unknown opcode {opcode:#04x}")
-        except ReproError as error:
+        except (ReproError, ValueError, KeyError, TypeError) as error:
             return wire.error_frame(
                 enc, type(error).__name__, str(error)
             )
-        except (ValueError, KeyError, TypeError) as error:
-            return wire.error_frame(enc, "ProtocolError", str(error))
 
     @staticmethod
     def _encode_plan(enc: WireEncoder, plan) -> None:
@@ -298,94 +231,25 @@ class ServiceServer:
             plan.total_posting_entries,
         )
 
-    async def _dispatch_line(self, line: bytes) -> Dict[str, Any]:
+    async def _dispatch_json(self, body: bytes) -> Dict[str, Any]:
+        """Run one admin op from an ``OP_JSON`` envelope."""
         try:
-            request = json.loads(line)
-            if not isinstance(request, dict) or "op" not in request:
-                raise ValueError("request must be an object with 'op'")
-            return await self._dispatch(request)
-        except ReproError as error:
-            return {
-                "ok": False,
-                "error": type(error).__name__,
-                "message": str(error),
-            }
-        except (ValueError, KeyError, TypeError) as error:
-            return {
-                "ok": False,
-                "error": type(error).__name__,
-                "message": str(error),
-            }
-
-    async def _dispatch(
-        self, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
+            request = json.loads(body)
+        except ValueError as error:  # also bad UTF-8
+            raise ProtocolError(f"bad JSON envelope: {error}") from None
+        if not isinstance(request, dict) or "op" not in request:
+            raise ProtocolError("request must be an object with 'op'")
         op = request["op"]
         runtime = self.runtime
-        if op == "ping":
-            response = {
-                "ok": True,
-                "pong": True,
-                "protocol": PROTOCOL_VERSION,
-            }
-            if self.binary_enabled:
-                # Old clients ignore unknown fields, so advertising
-                # binary here is compatible; the ``protocol`` field
-                # itself must stay 2 or their newer-server check
-                # would reject us.
-                response["binary_protocol"] = (
-                    wire.BINARY_PROTOCOL_VERSION
-                )
-            return response
-        if op == "register":
-            profile = Filter.from_terms(
-                request["filter_id"],
-                request["terms"],
-                owner=request.get("owner", ""),
-            )
-            await runtime.register(profile)
-            return {"ok": True, "filter_id": profile.filter_id}
-        if op == "register_batch":
-            profiles = [
-                Filter.from_terms(
-                    f["filter_id"], f["terms"], owner=f.get("owner", "")
-                )
-                for f in request["filters"]
-            ]
-            await runtime.command("register_batch", profiles)
-            return {"ok": True, "registered": len(profiles)}
-        if op == "register_query":
-            query = request["query"]
-            if not isinstance(query, str):
-                raise ValueError("'query' must be a string")
-            query_id = request.get("query_id")
-            owner = request.get("owner", "")
-            if query_id is None:
-                item: Any = query
-            elif owner:
-                item = (str(query_id), query, owner)
-            else:
-                item = (str(query_id), query)
-            ids = await runtime.subscribe([item])
-            return {"ok": True, "query_id": ids[0]}
         if op == "unregister":
-            removed = await runtime.unregister(request["filter_id"])
+            filter_id = request["filter_id"]
+            if not isinstance(filter_id, str):
+                raise ProtocolError("'filter_id' must be a string")
+            removed = await runtime.unregister(filter_id)
             return {"ok": True, "filter_id": removed.filter_id}
         if op == "finalize":
             await runtime.command("finalize")
             return {"ok": True}
-        if op == "ingest":
-            plan = await runtime.ingest(_decode_ingest(request))
-            return {"ok": True, **_plan_summary(plan)}
-        if op == "ingest_batch":
-            documents = [
-                _decode_ingest(entry) for entry in request["docs"]
-            ]
-            plans = await runtime.ingest_batch(documents)
-            return {
-                "ok": True,
-                "plans": [_plan_summary(p) for p in plans],
-            }
         if op == "checkpoint":
             report = await runtime.checkpoint()
             return {"ok": True, **report}
@@ -403,7 +267,7 @@ class ServiceServer:
         if op == "shutdown":
             self.shutdown_requested.set()
             return {"ok": True, "draining": True}
-        raise ValueError(f"unknown op {op!r}")
+        raise ProtocolError(f"unknown op {op!r}")
 
 
 def _report_tags(report) -> Dict[str, Any]:

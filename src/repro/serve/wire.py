@@ -1,27 +1,28 @@
-"""Binary wire codec shared by the TCP protocol and the WAL.
+"""The binary codec: the TCP protocol's frames and the WAL's records.
 
-One compact encoding serves two hot paths:
+One compact encoding serves both sides of the service:
 
 - the **protocol v3** frames of :mod:`repro.serve.server` /
   :mod:`repro.serve.client` — length-prefixed binary request/response
-  frames replacing one ``json.loads`` per line on the socket;
-- the **journal record codec** of :mod:`repro.serve.journal` — the
-  dominant write-ahead-log records (``publish_batch``,
-  ``register_batch``, ``subscribe``) encoded once per batch, with no
-  ``sort_keys`` re-canonicalization per append.
+  frames, the only format the server speaks;
+- the **journal record codec** of :mod:`repro.serve.journal` — every
+  write-ahead-log record, from ``setup`` to ``checkpoint``, is
+  encoded here once per append.
 
 The primitives are deliberately boring: unsigned LEB128 varints and
 ``varint length + UTF-8`` strings, written into a caller-owned
 :class:`WireEncoder` so a connection (or the journal) reuses one
-growable buffer instead of allocating per message.
+growable buffer instead of allocating per message.  Every decode
+failure — truncation, bad UTF-8, an unknown tag, a value the model
+rejects — raises :class:`~repro.errors.ProtocolError` and nothing
+else.
 
 Canonical term order
 --------------------
 Documents and filters are always encoded with their terms in sorted
-order.  That makes the *decoded* object construction deterministic —
-the same property the JSON journal codec had — so a crash replay that
-rebuilds a :class:`~repro.model.Document` from bytes constructs it
-exactly like the live apply path did (see
+order.  That makes the *decoded* object construction deterministic,
+so a crash replay that rebuilds a :class:`~repro.model.Document` from
+bytes constructs it exactly like the live apply path did (see
 :meth:`repro.serve.journal.JournaledSystem._log_and_apply`).
 
 Frame format (protocol v3)
@@ -29,26 +30,22 @@ Frame format (protocol v3)
 ``<u32 length (little-endian)> <payload>`` where a request payload is
 ``<u8 opcode> <body>`` and a response payload is ``<u8 status>
 <body>`` (status 0 = ok, 1 = error carrying ``str error_name`` +
-``str message``).  A connection is negotiated binary by the
-:data:`HELLO` / :data:`HELLO_ACK` line exchange; everything after the
-ack is frames.  The first hello byte is ``0x00``, which no JSON-lines
-request can start with — that single byte is the whole negotiation
-trick (see ``repro.serve.server``).
+``str message``).  A connection opens with the :data:`HELLO` /
+:data:`HELLO_ACK` line exchange; everything after the ack is frames.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..model import Document, Filter, Subscription
 
-#: Client → server negotiation line: asks for the binary protocol.
-#: Starts with 0x00 so a JSON-lines server answers with a JSON error
-#: line (clients fall back on seeing ``{``) instead of hanging.
+#: Client → server opening line.  Any other first line is refused
+#: with a ``ProtocolError`` frame and the connection is closed.
 HELLO = b"\x00MV3\n"
-#: Server → client negotiation line: binary accepted, speak frames.
+#: Server → client answer to :data:`HELLO`: speak frames from here on.
 HELLO_ACK = b"\x00MV3 3\n"
 
 #: Protocol version spoken after a successful hello exchange.
@@ -59,9 +56,9 @@ BINARY_PROTOCOL_VERSION = 3
 #: and the oversized payload is drained so the connection survives.
 MAX_FRAME_BYTES = 32 << 20
 
-#: Request opcodes.  OP_JSON wraps any v2 JSON request object, so the
-#: whole service surface is reachable over one binary connection; the
-#: dedicated opcodes cover the hot ops with no JSON at all.
+#: Request opcodes.  The data-plane ops have their own opcodes; the
+#: cold admin ops (unregister, finalize, reallocate, checkpoint,
+#: stats, metrics, shutdown) ride OP_JSON as one JSON object.
 OP_JSON = 0x00
 OP_PING = 0x01
 OP_INGEST = 0x02
@@ -73,6 +70,7 @@ STATUS_OK = 0x00
 STATUS_ERROR = 0x01
 
 _U32 = struct.Struct("<I")
+_F64 = struct.Struct("<d")
 
 # -- varint / string primitives -------------------------------------------
 
@@ -114,6 +112,14 @@ class WireEncoder:
 
     def raw(self, value: bytes) -> None:
         self.buf += value
+
+    def optional_f64(self, value: Optional[float]) -> None:
+        """``u8 0`` for None, else ``u8 1`` + a little-endian double."""
+        if value is None:
+            self.buf.append(0)
+        else:
+            self.buf.append(1)
+            self.buf += _F64.pack(value)
 
     # Framing -------------------------------------------------------------
 
@@ -166,8 +172,24 @@ class WireDecoder:
     def string(self) -> str:
         length = self.varint()
         self._need(length)
-        value = self.data[self.pos:self.pos + length].decode("utf-8")
+        try:
+            value = self.data[self.pos:self.pos + length].decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise ProtocolError(
+                f"string at offset {self.pos} is not UTF-8: {error}"
+            ) from None
         self.pos += length
+        return value
+
+    def optional_f64(self) -> Optional[float]:
+        present = self.u8()
+        if present == 0:
+            return None
+        if present != 1:
+            raise ProtocolError(f"bad optional marker {present}")
+        self._need(_F64.size)
+        (value,) = _F64.unpack_from(self.data, self.pos)
+        self.pos += _F64.size
         return value
 
     @property
@@ -208,17 +230,21 @@ def encode_filter(enc: WireEncoder, profile: Filter) -> None:
         enc.string(term)
 
 
+def _decode_terms(dec: WireDecoder, filter_id: str) -> frozenset:
+    terms = frozenset(dec.string() for _ in range(dec.varint()))
+    if not terms:
+        raise ProtocolError(f"filter {filter_id!r} has no terms")
+    return terms
+
+
 def decode_filter(dec: WireDecoder) -> Filter:
     filter_id = dec.string()
     owner = dec.string()
-    terms = [dec.string() for _ in range(dec.varint())]
-    return Filter(
-        filter_id=filter_id, terms=frozenset(terms), owner=owner
-    )
+    terms = _decode_terms(dec, filter_id)
+    return Filter(filter_id=filter_id, terms=terms, owner=owner)
 
 
-#: Subscribe item kind tags (see ``encode_subscribe_item``).  They
-#: mirror the JSON journal codec's ``kind`` strings one to one.
+#: Subscribe item kind tags (see ``encode_subscribe_item``).
 _ITEM_FILTER = 0
 _ITEM_QUERY = 1
 _ITEM_PAIR = 2
@@ -228,9 +254,8 @@ _ITEM_SUBSCRIPTION = 3
 def encode_subscribe_item(enc: WireEncoder, item: Any) -> None:
     """Encode one ``subscribe`` item *preserving its input shape*.
 
-    Bare query text stays bare text for the same reason the JSON
-    journal codec keeps it bare: replay re-runs ``subscribe`` on the
-    decoded items, and resolving auto-assigned ids at encode time
+    Bare query text stays bare text: replay re-runs ``subscribe`` on
+    the decoded items, and resolving auto-assigned ids at encode time
     would desynchronize the id sequence between live and recovered
     twins.
     """
@@ -266,10 +291,9 @@ def decode_subscribe_item(dec: WireDecoder) -> Any:
         filter_id = dec.string()
         owner = dec.string()
         query = dec.string()
-        terms = [dec.string() for _ in range(dec.varint())]
         return Subscription(
             filter_id=filter_id,
-            terms=frozenset(terms),
+            terms=_decode_terms(dec, filter_id),
             owner=owner,
             query=query,
         )
@@ -307,93 +331,112 @@ def decode_plan_summary(dec: WireDecoder) -> Dict[str, Any]:
 
 # -- WAL record codec ------------------------------------------------------
 
-#: First byte of a binary journal record.  JSON records start with
-#: ``{`` (0x7B), so one byte discriminates the two formats and old
-#: JSON-era journals keep replaying unchanged.
+#: First byte of every journal record.
 RECORD_MAGIC = 0xB1
 
-_REC_PUBLISH_BATCH = 0x01
-_REC_REGISTER_BATCH = 0x02
-_REC_SUBSCRIBE = 0x03
-
-#: Ops the binary record codec covers; everything else stays JSON.
-BINARY_RECORD_OPS = frozenset(
-    {"publish_batch", "register_batch", "subscribe"}
-)
+#: Second byte: the record's op.  Tag 0x02 belonged to the retired
+#: ``register_batch`` record; it stays reserved and is never reused.
+_RECORD_TAGS = {
+    "publish_batch": 0x01,
+    "subscribe": 0x03,
+    "setup": 0x04,
+    "unregister": 0x05,
+    "finalize": 0x06,
+    "seed_frequencies": 0x07,
+    "reallocate": 0x08,
+    "rebalance": 0x09,
+    "checkpoint": 0x0A,
+}
+_RECORD_OPS = {tag: op for op, tag in _RECORD_TAGS.items()}
 
 
 def encode_record(enc: WireEncoder, record: Dict[str, Any]) -> bytes:
-    """Encode one hot-op journal record into binary bytes.
+    """Encode one journal record into bytes.
 
-    ``record`` carries live model objects (``Document`` / ``Filter`` /
-    subscribe items), not their JSON dict forms — the codec is the
-    canonicalization step, replacing ``json.dumps(..., sort_keys=True)``.
+    ``record`` is ``{"op": ..., <fields>}`` carrying live model objects
+    (``Document`` / ``Filter`` / subscribe items); the codec is the
+    canonicalization step, so what :func:`decode_record` returns is
+    the same record.
     """
     enc.reset()
     op = record["op"]
+    tag = _RECORD_TAGS.get(op)
+    if tag is None:
+        raise ProtocolError(f"no record codec for journal op {op!r}")
     enc.u8(RECORD_MAGIC)
-    if op == "publish_batch":
-        enc.u8(_REC_PUBLISH_BATCH)
+    enc.u8(tag)
+    if op in ("publish_batch", "seed_frequencies"):
         docs = record["docs"]
         enc.varint(len(docs))
         for document in docs:
             encode_document(enc, document)
-    elif op == "register_batch":
-        enc.u8(_REC_REGISTER_BATCH)
-        profiles = record["filters"]
-        enc.varint(len(profiles))
-        for profile in profiles:
-            encode_filter(enc, profile)
     elif op == "subscribe":
-        enc.u8(_REC_SUBSCRIBE)
-        chunk_size = record.get("chunk_size")
+        chunk_size = record["chunk_size"]
         enc.varint(0 if chunk_size is None else chunk_size + 1)
         items = record["items"]
         enc.varint(len(items))
         for item in items:
             encode_subscribe_item(enc, item)
-    else:
-        raise ProtocolError(f"no binary codec for journal op {op!r}")
+    elif op == "setup":
+        enc.string(record["scheme"])
+        enc.varint(record["num_nodes"])
+        enc.varint(record["node_capacity"])
+        seed = record["seed"]  # zigzag: seeds may be negative
+        enc.varint(seed << 1 if seed >= 0 else (-seed << 1) - 1)
+        enc.optional_f64(record["threshold"])
+    elif op == "unregister":
+        enc.string(record["filter_id"])
+    elif op == "reallocate":
+        enc.u8(1 if record["force"] else 0)
+        enc.optional_f64(record["drift_epsilon"])
+    elif op == "checkpoint":
+        enc.varint(record["lsn"])
     return bytes(enc.buf)
 
 
 def decode_record(payload: bytes) -> Dict[str, Any]:
-    """Decode one binary journal record into its apply form.
+    """Decode one journal record into its apply form.
 
-    The returned dict carries decoded model objects (the journal's
-    ``_apply`` accepts both these and the JSON dict forms), built in
-    the same canonical sorted-term order the JSON decoder used — so
-    binary replay constructs bit-identical inputs.
+    Documents and filters come back in the canonical sorted-term
+    order, so replay constructs the same inputs the live apply did.
     """
     dec = WireDecoder(payload)
     if dec.u8() != RECORD_MAGIC:
         raise ProtocolError("not a binary journal record")
     tag = dec.u8()
-    if tag == _REC_PUBLISH_BATCH:
-        return {
-            "op": "publish_batch",
-            "docs": [
-                decode_document(dec) for _ in range(dec.varint())
-            ],
-        }
-    if tag == _REC_REGISTER_BATCH:
-        return {
-            "op": "register_batch",
-            "filters": [
-                decode_filter(dec) for _ in range(dec.varint())
-            ],
-        }
-    if tag == _REC_SUBSCRIBE:
+    op = _RECORD_OPS.get(tag)
+    if op is None:
+        raise ProtocolError(f"unknown record tag {tag:#04x}")
+    record: Dict[str, Any] = {"op": op}
+    if op in ("publish_batch", "seed_frequencies"):
+        record["docs"] = [
+            decode_document(dec) for _ in range(dec.varint())
+        ]
+    elif op == "subscribe":
         raw_chunk = dec.varint()
-        chunk_size = None if raw_chunk == 0 else raw_chunk - 1
-        return {
-            "op": "subscribe",
-            "chunk_size": chunk_size,
-            "items": [
-                decode_subscribe_item(dec) for _ in range(dec.varint())
-            ],
-        }
-    raise ProtocolError(f"unknown binary record tag {tag:#04x}")
+        record["chunk_size"] = None if raw_chunk == 0 else raw_chunk - 1
+        record["items"] = [
+            decode_subscribe_item(dec) for _ in range(dec.varint())
+        ]
+    elif op == "setup":
+        record["scheme"] = dec.string()
+        record["num_nodes"] = dec.varint()
+        record["node_capacity"] = dec.varint()
+        seed = dec.varint()
+        record["seed"] = -((seed + 1) >> 1) if seed & 1 else seed >> 1
+        record["threshold"] = dec.optional_f64()
+    elif op == "unregister":
+        record["filter_id"] = dec.string()
+    elif op == "reallocate":
+        record["force"] = dec.u8() != 0
+        record["drift_epsilon"] = dec.optional_f64()
+    elif op == "checkpoint":
+        record["lsn"] = dec.varint()
+    if not dec.exhausted:
+        raise ProtocolError(
+            f"{len(payload) - dec.pos} trailing bytes after a {op} record"
+        )
+    return record
 
 
 # -- frame helpers ---------------------------------------------------------

@@ -17,15 +17,13 @@ the redesigned ``subscribe`` entrypoint (uniform item kinds, auto
 ids, deprecation shims), rarest-anchor homing against live popularity
 statistics, deterministic anchor tie-breaks, slab rehydration, WAL
 replay of ``subscribe``, reallocation carrying predicates along, and
-the protocol-v2 wire surface.
+query subscriptions over the TCP protocol.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import random
-import socket
 import threading
 import warnings
 from dataclasses import replace
@@ -538,7 +536,7 @@ def test_wal_replays_subscribe_bit_identically(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Protocol v2 wire surface
+# Query subscriptions over TCP
 # ---------------------------------------------------------------------------
 
 
@@ -551,19 +549,20 @@ def test_register_query_over_tcp():
 
         def client_work():
             with ServiceClient(port=server.port) as client:
-                results["protocol"] = client.server_protocol
-                client.register("f1", ["alpha"])
-                results["qid"] = client.register_query(
-                    "alpha NOT beta", query_id="q-alert"
+                results["ids"] = client.subscribe(
+                    [
+                        Filter.from_terms("f1", ["alpha"]),
+                        ("q-alert", "alpha NOT beta"),
+                        "gamma AND alpha",
+                    ]
                 )
-                results["auto"] = client.register_query("gamma AND alpha")
                 client.finalize()
                 results["hit"] = client.ingest("d1", terms=["alpha"])
                 results["miss"] = client.ingest(
                     "d2", terms=["alpha", "beta"]
                 )
                 try:
-                    client.register_query("NOT sports")
+                    client.subscribe(["NOT sports"])
                 except ServiceError as error:
                     results["bad_query"] = str(error)
                 client.shutdown()
@@ -578,76 +577,10 @@ def test_register_query_over_tcp():
         return results
 
     results = asyncio.run(scenario())
-    assert results["protocol"] == 2
-    assert results["qid"] == "q-alert"
-    assert results["auto"] == "q1"
+    assert results["ids"] == ["f1", "q-alert", "q1"]
     assert results["hit"]["matched"] == ["f1", "q-alert"]
     assert results["miss"]["matched"] == ["f1"]
     assert "QueryError" in results["bad_query"]
-
-
-class _FakeServer:
-    """Single-connection JSON-lines server pinned to one ping reply."""
-
-    def __init__(self, ping_response):
-        self._ping_response = ping_response
-        self._sock = socket.socket()
-        self._sock.bind(("127.0.0.1", 0))
-        self._sock.listen(1)
-        self.port = self._sock.getsockname()[1]
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        try:
-            conn, _addr = self._sock.accept()
-        except OSError:
-            return
-        with conn, conn.makefile("rwb") as stream:
-            while True:
-                line = stream.readline()
-                if not line:
-                    return
-                # A real pre-v3 server answers any unparsable line
-                # (including the binary hello) with a JSON error —
-                # that response is the client's fallback signal.
-                try:
-                    request = json.loads(line)
-                except ValueError:
-                    request = {}
-                if request.get("op") == "ping":
-                    response = self._ping_response
-                else:
-                    response = {
-                        "ok": False,
-                        "error": "ValueError",
-                        "message": f"unknown op {request.get('op')!r}",
-                    }
-                stream.write(json.dumps(response).encode() + b"\n")
-                stream.flush()
-
-    def close(self):
-        self._sock.close()
-
-
-def test_client_rejects_newer_protocol_server():
-    fake = _FakeServer({"ok": True, "pong": True, "protocol": 3})
-    try:
-        with pytest.raises(ServiceError, match="upgrade the client"):
-            ServiceClient(port=fake.port)
-    finally:
-        fake.close()
-
-
-def test_client_translates_v1_server():
-    fake = _FakeServer({"ok": True, "pong": True})
-    try:
-        with ServiceClient(port=fake.port) as client:
-            assert client.server_protocol == 1
-            with pytest.raises(ServiceError, match="protocol"):
-                client.register_query("alpha AND beta")
-    finally:
-        fake.close()
 
 
 # ---------------------------------------------------------------------------

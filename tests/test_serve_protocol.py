@@ -1,24 +1,26 @@
-"""Binary wire protocol v3: codec, negotiation, and interop matrix.
+"""Binary wire protocol v3: codec, hello exchange, damaged input.
 
 Covers the :mod:`repro.serve.wire` codec roundtrips (varints,
-documents, filters, subscribe items, journal records), the hello
-negotiation against v3 and binary-disabled servers (the latter being
-byte-identical to a pre-v3 JSON-lines server), forced-protocol client
-modes, and the damaged-frame contract: a corrupt or oversized frame
-is answered with a typed ``ProtocolError`` and the connection keeps
-serving.  Server-side scenarios use the same threaded-client pattern
-as ``test_serve_runtime``: the server owns the loop, the blocking
-client drives it from a thread.
+documents, filters, subscribe items, every journal record), a fuzz of
+every decoder (arbitrary bytes raise ``ProtocolError`` and nothing
+else), the hello exchange and its refusals on both sides, and the
+damaged-frame contract: a corrupt or oversized frame is answered with
+a typed ``ProtocolError`` and the connection keeps serving.
+Server-side scenarios use the same threaded-client pattern as
+``test_serve_runtime``: the server owns the loop, the blocking client
+drives it from a thread.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import ProtocolError, ServiceError
+from repro.errors import ProtocolError
 from repro.model import Document, Filter, Subscription
 from repro.serve import (
     ServeConfig,
@@ -118,6 +120,60 @@ def test_subscribe_item_rejects_unknown_types():
         wire.decode_subscribe_item(WireDecoder(b"\x09"))
 
 
+def test_decoders_reject_bad_utf8_and_empty_filters():
+    with pytest.raises(ProtocolError, match="UTF-8"):
+        WireDecoder(b"\x02\xff\xfe").string()
+    enc = WireEncoder()
+    enc.string("f1")
+    enc.string("owner")
+    enc.varint(0)  # a filter with no terms
+    with pytest.raises(ProtocolError, match="no terms"):
+        wire.decode_filter(WireDecoder(bytes(enc.buf)))
+
+
+_DECODERS = {
+    "decode_document": lambda data: wire.decode_document(WireDecoder(data)),
+    "decode_subscribe_item": lambda data: wire.decode_subscribe_item(
+        WireDecoder(data)
+    ),
+    "decode_record": wire.decode_record,
+    "decode_plans": lambda data: wire.decode_plans(WireDecoder(data)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECODERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=96))
+def test_decoders_raise_only_protocol_errors_on_arbitrary_bytes(
+    name, data
+):
+    try:
+        _DECODERS[name](data)
+    except ProtocolError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(_DECODERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=64))
+def test_decoders_raise_only_protocol_errors_on_prefixed_bytes(
+    name, data
+):
+    """Arbitrary bodies behind every valid tag reach deep into each
+    decoder instead of failing on the first byte."""
+    prefixes = {
+        "decode_record": [
+            bytes([wire.RECORD_MAGIC, tag]) for tag in range(0, 12)
+        ],
+        "decode_subscribe_item": [bytes([kind]) for kind in range(4)],
+    }.get(name, [b""])
+    for prefix in prefixes:
+        try:
+            _DECODERS[name](prefix + data)
+        except ProtocolError:
+            pass
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -129,8 +185,12 @@ def test_subscribe_item_rejects_unknown_types():
             ],
         },
         {
-            "op": "register_batch",
-            "filters": [Filter.from_terms("f1", ["a"], owner="u")],
+            "op": "setup",
+            "scheme": "move",
+            "num_nodes": 4,
+            "node_capacity": 2_000,
+            "seed": -3,
+            "threshold": 0.25,
         },
         {
             "op": "subscribe",
@@ -142,6 +202,16 @@ def test_subscribe_item_rejects_unknown_types():
             "items": [Filter.from_terms("f2", ["e"])],
             "chunk_size": 0,
         },
+        {"op": "unregister", "filter_id": "f1"},
+        {"op": "finalize"},
+        {
+            "op": "seed_frequencies",
+            "docs": [Document.from_terms("s1", ["x", "y", "x"])],
+        },
+        {"op": "reallocate", "force": True, "drift_epsilon": None},
+        {"op": "reallocate", "force": False, "drift_epsilon": 0.05},
+        {"op": "rebalance"},
+        {"op": "checkpoint", "lsn": 1234},
     ],
 )
 def test_record_roundtrip(record):
@@ -150,19 +220,32 @@ def test_record_roundtrip(record):
     assert wire.decode_record(payload) == record
 
 
-def test_record_codec_rejects_non_hot_ops_and_damage():
+def test_publish_record_prefix_is_stable():
+    payload = wire.encode_record(
+        WireEncoder(),
+        {"op": "publish_batch", "docs": [Document.from_terms("d", ["a"])]},
+    )
+    assert payload[:2] == b"\xb1\x01"
+
+
+def test_record_codec_rejects_unknown_ops_and_damage():
     with pytest.raises(ProtocolError):
-        wire.encode_record(WireEncoder(), {"op": "finalize"})
+        wire.encode_record(WireEncoder(), {"op": "register_batch"})
     with pytest.raises(ProtocolError):
-        wire.decode_record(b"{not binary}")
+        wire.decode_record(b'{"op": "finalize"}')  # a JSON-era record
     with pytest.raises(ProtocolError):
         wire.decode_record(bytes([wire.RECORD_MAGIC, 0x7F]))
+    # Tag 0x02 (the retired register_batch record) stays reserved.
+    with pytest.raises(ProtocolError, match="0x02"):
+        wire.decode_record(bytes([wire.RECORD_MAGIC, 0x02, 0x00]))
     good = wire.encode_record(
         WireEncoder(),
         {"op": "publish_batch", "docs": [Document.from_terms("d", ["a"])]},
     )
     with pytest.raises(ProtocolError):
         wire.decode_record(good[:-2])  # truncated body
+    with pytest.raises(ProtocolError, match="trailing"):
+        wire.decode_record(good + b"\x00")
 
 
 def test_error_frame_roundtrip():
@@ -198,7 +281,7 @@ def _run_server(client_work, **server_kwargs):
             results["error"] = error
         finally:
             try:
-                with ServiceClient(port=port, protocol="json") as c:
+                with ServiceClient(port=port) as c:
                     c.shutdown()
             except Exception:
                 pass
@@ -223,98 +306,124 @@ def _run_server(client_work, **server_kwargs):
     return results
 
 
-def test_binary_client_full_surface_matches_json_client():
+def test_client_full_surface_round_trip():
     def work(port, results):
-        with ServiceClient(port=port, protocol="binary") as binary:
-            assert binary.binary
-            assert binary.server_binary_protocol == 3
-            assert binary.server_protocol == 2
-            assert binary.ping()
-            binary.register_batch(
-                [
-                    {"filter_id": p.filter_id, "terms": sorted(p.terms)}
-                    for p in _PROFILES
-                ]
+        with ServiceClient(port=port) as client:
+            assert client.ping()
+            ids = client.subscribe(
+                list(_PROFILES) + [("q-ab", "alpha AND beta")]
             )
-            query_id = binary.register_query(
-                "alpha AND beta", query_id="q-ab"
-            )
-            assert query_id == "q-ab"
-            binary.finalize()
-            plan = binary.ingest("d0", terms=["alpha", "beta"])
-            batch = binary.ingest_batch(
+            assert ids == ["f-alpha", "f-gamma", "q-ab"]
+            client.finalize()
+            plan = client.ingest("d0", terms=["alpha", "beta"])
+            batch = client.ingest_batch(
                 [
                     {"doc_id": "d1", "terms": ["gamma"]},
                     {"doc_id": "d2", "term_counts": {"alpha": 2}},
                 ]
             )
-            assert "repro_serve_ingested" in binary.metrics()
-            stats = binary.stats()
-        # The same documents through a JSON connection on the same
-        # server must produce identical plan summaries.
-        with ServiceClient(port=port, protocol="json") as plain:
-            assert not plain.binary
-            json_plan = plain.ingest("d0b", terms=["alpha", "beta"])
-            assert json_plan["matched"] == plan["matched"]
-            assert json_plan["fanout"] == plan["fanout"]
-            json_batch = plain.ingest_batch(
-                [
-                    {"doc_id": "d1b", "terms": ["gamma"]},
-                    {"doc_id": "d2b", "term_counts": {"alpha": 2}},
-                ]
-            )
-            for ours, theirs in zip(batch, json_batch):
-                assert ours["matched"] == theirs["matched"]
-                assert ours["fanout"] == theirs["fanout"]
-        assert sorted(plan["matched"]) == ["f-alpha", "q-ab"]
+            assert "repro_serve_ingested" in client.metrics()
+            stats = client.stats()
+            client.unregister("q-ab")
+            after = client.ingest("d3", terms=["alpha", "beta"])
+        assert plan["doc_id"] == "d0"
+        assert plan["matched"] == ["f-alpha", "q-ab"]
         assert batch[0]["matched"] == ["f-gamma"]
         assert batch[0]["doc_id"] == "d1"
-        assert stats["active_filters"] >= len(_PROFILES)
+        assert batch[1]["matched"] == ["f-alpha"]
+        assert after["matched"] == ["f-alpha"]
+        assert stats["active_filters"] == 3
 
     _run_server(work)
 
 
-def test_auto_client_falls_back_against_binary_disabled_server():
-    """A binary-disabled server is wire-identical to a pre-v3 server:
-    the hello line comes back as a JSON error and the client continues
-    on JSON transparently."""
+def _fake_server(answer: bytes):
+    """A one-connection server that answers the hello with ``answer``
+    and hangs up."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
 
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as stream:
+            stream.readline()
+            stream.write(answer)
+            stream.flush()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+@pytest.mark.parametrize(
+    "answer",
+    [b'{"ok": false, "error": "ValueError"}\n', b""],
+    ids=["json-error-line", "hang-up"],
+)
+def test_client_refuses_a_server_that_does_not_ack_the_hello(answer):
+    listener, thread = _fake_server(answer)
+    try:
+        with pytest.raises(ProtocolError, match="hello"):
+            ServiceClient(port=listener.getsockname()[1])
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+
+
+def test_client_rejects_newer_protocol_server():
+    listener, thread = _fake_server(b"\x00MV3 4\n")
+    try:
+        with pytest.raises(ProtocolError, match="MV3 4"):
+            ServiceClient(port=listener.getsockname()[1])
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+
+
+def _read_frame(sock: socket.socket) -> bytes:
+    stream = sock.makefile("rb")
+    header = stream.read(4)
+    payload = stream.read(wire.split_header(header))
+    rest = stream.read()  # the server closes after refusing
+    stream.close()
+    assert rest == b""
+    return payload
+
+
+@pytest.mark.parametrize(
+    "first_line",
+    [b'{"op": "ping"}\n', b"\x00MV2\n", b"x" * 70_000 + b"\n"],
+    ids=["json-request", "older-hello", "over-long-line"],
+)
+def test_server_refuses_a_first_line_that_is_not_hello(first_line):
     def work(port, results):
-        with ServiceClient(port=port) as client:  # protocol="auto"
-            assert not client.binary
-            assert client.server_protocol == 2
-            assert client.server_binary_protocol == 0
-            assert client.ping()
-            client.register("f1", ["alpha"])
-            client.finalize()
-            plan = client.ingest("d0", terms=["alpha"])
-            assert plan["matched"] == ["f1"]
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(first_line)
+            dec = WireDecoder(_read_frame(sock))
+        assert dec.u8() == wire.STATUS_ERROR
+        error, message = wire.decode_error(dec)
+        assert error == "ProtocolError"
+        assert "hello" in message
 
-    _run_server(work, binary_enabled=False)
+    _run_server(work)
 
 
-def test_forced_binary_client_refuses_json_fallback():
+def test_ping_reports_the_binary_protocol_version():
     def work(port, results):
-        with pytest.raises(ServiceError, match="declined binary"):
-            ServiceClient(port=port, protocol="binary")
-
-    _run_server(work, binary_enabled=False)
-
-
-def test_json_ping_advertises_binary_without_bumping_protocol():
-    def work(port, results):
-        with ServiceClient(port=port, protocol="json") as client:
-            response = client.request({"op": "ping"})
-            assert response["protocol"] == 2
-            assert response["binary_protocol"] == 3
-            assert client.server_binary_protocol == 3
+        with ServiceClient(port=port) as client:
+            enc = WireEncoder()
+            enc.u8(wire.OP_PING)
+            dec = client._roundtrip_frame(enc.frame())
+            assert dec.varint() == wire.BINARY_PROTOCOL_VERSION == 3
+            assert dec.exhausted
 
     _run_server(work)
 
 
 def test_corrupt_frame_gets_typed_error_and_connection_survives():
     def work(port, results):
-        with ServiceClient(port=port, protocol="binary") as client:
+        with ServiceClient(port=port) as client:
             # Truncated ingest body: opcode then garbage.
             enc = WireEncoder()
             enc.u8(wire.OP_INGEST)
@@ -338,7 +447,7 @@ def test_corrupt_frame_gets_typed_error_and_connection_survives():
 
 def test_oversized_frame_rejected_and_drained():
     def work(port, results):
-        with ServiceClient(port=port, protocol="binary") as client:
+        with ServiceClient(port=port) as client:
             oversized = wire.pack_length(4096) + b"\x00" * 4096
             with pytest.raises(ServiceClientError) as excinfo:
                 client._roundtrip_frame(oversized)
@@ -353,13 +462,19 @@ def test_oversized_frame_rejected_and_drained():
 
 def test_runtime_errors_cross_the_binary_transport_typed():
     def work(port, results):
-        with ServiceClient(port=port, protocol="binary") as client:
+        with ServiceClient(port=port) as client:
             with pytest.raises(ServiceClientError) as excinfo:
                 client.unregister("missing")
             assert excinfo.value.error == "KeyError"
             with pytest.raises(ServiceClientError) as excinfo:
-                client.register_query("NOT alpha", query_id="bad")
+                client.subscribe([("bad", "NOT alpha")])
             assert excinfo.value.error == "QueryError"
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.request({"op": "ingest"})  # no JSON twin any more
+            assert excinfo.value.error == "ProtocolError"
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.request({"op": "unregister", "filter_id": 7})
+            assert excinfo.value.error == "ProtocolError"
             assert client.ping()
 
     _run_server(work)

@@ -4,10 +4,10 @@ Covers the :class:`~repro.sim.engine.Clock` /
 :class:`~repro.sim.engine.EventDriver` abstraction, the
 :class:`~repro.serve.runtime.ServiceRuntime` queueing semantics
 (equivalence with direct calls, micro-batching, admission control,
-backpressure, graceful drain), the TCP JSON-lines protocol end to
-end, the Prometheus exposition, and the batch-contract guard raised
-on mid-batch mutation.  Async tests drive their own loops with
-``asyncio.run`` — no pytest plugin required.
+backpressure, graceful drain, fail-stop on a failed WAL fsync), the
+TCP protocol end to end, the Prometheus exposition, and the
+batch-contract guard raised on mid-batch mutation.  Async tests drive
+their own loops with ``asyncio.run`` — no pytest plugin required.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.errors import (
     BatchContractError,
     ServiceDrainingError,
     ServiceError,
+    WalError,
 )
 from repro.experiments.harness import build_cluster, make_system
 from repro.model import Document, Filter
@@ -105,7 +106,7 @@ _DOCS = [
 def _reference_plans(scheme="move", seed=0):
     cluster, config = build_cluster(4, 2_000, seed=seed)
     system = make_system(scheme, cluster, config)
-    system.register_batch(list(_PROFILES))
+    system.subscribe(list(_PROFILES))
     system.finalize_registration()
     return system.publish_batch(list(_DOCS))
 
@@ -116,7 +117,7 @@ def test_runtime_matches_direct_system_calls():
             ServeConfig(scheme="move", num_nodes=4, seed=0)
         )
         await runtime.start()
-        await runtime.command("register_batch", list(_PROFILES))
+        await runtime.subscribe(list(_PROFILES))
         await runtime.command("finalize")
         plans = await asyncio.gather(
             *(runtime.ingest(doc) for doc in _DOCS)
@@ -137,7 +138,7 @@ def test_runtime_micro_batches_concurrent_ingest():
             ServeConfig(scheme="il", num_nodes=4, batch_max_docs=16)
         )
         await runtime.start()
-        await runtime.register(_PROFILES[0])
+        await runtime.subscribe([_PROFILES[0]])
         await runtime.command("finalize")
         docs = [
             Document.from_terms(f"d{i}", ["alpha", f"t{i}"])
@@ -208,7 +209,7 @@ def test_drain_finishes_accepted_work_then_rejects():
     async def scenario():
         runtime = ServiceRuntime(ServeConfig(scheme="il", num_nodes=4))
         await runtime.start()
-        await runtime.register(_PROFILES[0])
+        await runtime.subscribe([_PROFILES[0]])
         await runtime.command("finalize")
         pending = [
             asyncio.ensure_future(runtime.ingest(doc))
@@ -233,7 +234,7 @@ def test_periodic_reallocate_fires_under_the_driver():
             )
         )
         await runtime.start()
-        await runtime.register(_PROFILES[0])
+        await runtime.subscribe([_PROFILES[0]])
         await runtime.command("finalize")
         await asyncio.sleep(0.1)
         refreshes = runtime.metrics.counter("serve.refreshes").value
@@ -258,7 +259,7 @@ def test_drift_gate_counts_skipped_refreshes():
             )
         )
         await runtime.start()
-        await runtime.register(_PROFILES[0])
+        await runtime.subscribe([_PROFILES[0]])
         await runtime.command("finalize")
         await asyncio.sleep(0.1)
         skipped = runtime.metrics.counter(
@@ -280,7 +281,7 @@ def test_ingest_batch_matches_per_doc_ingest():
         )
         await runtime.start()
         assert await runtime.ingest_batch([]) == []
-        await runtime.command("register_batch", list(_PROFILES))
+        await runtime.subscribe(list(_PROFILES))
         await runtime.command("finalize")
         plans = await runtime.ingest_batch(list(_DOCS))
         ingested = runtime.metrics.counter("serve.ingested").value
@@ -296,9 +297,9 @@ def test_ingest_batch_matches_per_doc_ingest():
 
 
 def test_ingest_batch_coalesces_wal_fsyncs(tmp_path):
-    """One worker drain cycle = one commit window = one fsync, even
-    at fsync_interval=1: the batch's records become durable together
-    and the acks are released only after the group fsync."""
+    """One worker drain cycle = one commit window = one fsync: the
+    batch's records become durable together and the acks are released
+    only after the group fsync."""
 
     async def scenario():
         runtime = ServiceRuntime(
@@ -306,11 +307,10 @@ def test_ingest_batch_coalesces_wal_fsyncs(tmp_path):
                 scheme="move",
                 num_nodes=4,
                 wal_dir=str(tmp_path),
-                fsync_interval=1,
             )
         )
         await runtime.start()
-        await runtime.command("register_batch", list(_PROFILES))
+        await runtime.subscribe(list(_PROFILES))
         await runtime.command("finalize")
         docs = [
             Document.from_terms(f"b{i}", ["alpha", f"t{i}"])
@@ -331,40 +331,50 @@ def test_ingest_batch_coalesces_wal_fsyncs(tmp_path):
     # windows instead of 32 per-append fsyncs.
     assert coalesced <= 2
     assert group_commits >= 1
-    assert "repro_serve_wal_group_commits" in text
+    assert "repro_serve_wal_fsyncs" in text
     assert "repro_serve_wal_records_per_fsync" in text
 
 
-def test_group_commit_disabled_fsyncs_per_append(tmp_path):
+def test_failed_fsync_fails_the_window_and_stops_intake(
+    tmp_path, monkeypatch
+):
+    """An fsync that fails must never be acked: every producer of the
+    window gets a WalError, later requests are refused with the same
+    typed error instead of hanging, and the runtime still drains."""
+
     async def scenario():
         runtime = ServiceRuntime(
-            ServeConfig(
-                scheme="move",
-                num_nodes=4,
-                wal_dir=str(tmp_path),
-                wal_group_commit=False,
-            )
+            ServeConfig(scheme="move", num_nodes=4, wal_dir=str(tmp_path))
         )
         await runtime.start()
-        await runtime.command("register_batch", list(_PROFILES))
+        await runtime.subscribe(list(_PROFILES))
         await runtime.command("finalize")
-        writer = runtime.journal.writer
-        before = writer.fsyncs
-        await runtime.ingest_batch(
-            [
-                Document.from_terms(f"p{i}", ["alpha"])
-                for i in range(4)
-            ]
-        )
-        per_append = writer.fsyncs - before
-        await runtime.close()
-        return per_append, writer.group_commits
 
-    per_append, group_commits = asyncio.run(scenario())
-    # Batching still merges the docs into one publish_batch record,
-    # but each append gets its own fsync and no window ever opens.
-    assert per_append >= 1
-    assert group_commits == 0
+        def broken_fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr("repro.cluster.storage.os.fsync", broken_fsync)
+        window = [
+            runtime.ingest(Document.from_terms(f"w{i}", ["alpha"]))
+            for i in range(3)
+        ]
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(*window, return_exceptions=True), timeout=3.0
+        )
+        with pytest.raises(WalError, match="fsync failed"):
+            await asyncio.wait_for(
+                runtime.ingest(Document.from_terms("late", ["alpha"])),
+                timeout=3.0,
+            )
+        with pytest.raises(WalError):
+            await asyncio.wait_for(runtime.unregister("f-gamma"), 3.0)
+        monkeypatch.undo()
+        await asyncio.wait_for(runtime.close(), timeout=3.0)
+        return outcomes
+
+    outcomes = asyncio.run(scenario())
+    assert len(outcomes) == 3
+    assert all(isinstance(outcome, WalError) for outcome in outcomes)
 
 
 def test_runtime_checkpoint_command(tmp_path):
@@ -375,7 +385,7 @@ def test_runtime_checkpoint_command(tmp_path):
             )
         )
         await runtime.start()
-        await runtime.command("register_batch", list(_PROFILES))
+        await runtime.subscribe(list(_PROFILES))
         await runtime.command("finalize")
         await runtime.ingest(Document.from_terms("d0", ["alpha"]))
         report = await runtime.checkpoint()
@@ -420,7 +430,7 @@ def test_periodic_checkpoint_fires(tmp_path):
             )
         )
         await runtime.start()
-        await runtime.register(_PROFILES[0])
+        await runtime.subscribe([_PROFILES[0]])
         await runtime.command("finalize")
         await asyncio.sleep(0.1)
         checkpoints = runtime.journal.checkpoints
@@ -463,11 +473,11 @@ def test_commands_serialize_between_batches():
     async def scenario():
         runtime = ServiceRuntime(ServeConfig(scheme="il", num_nodes=4))
         await runtime.start()
-        await runtime.register(_PROFILES[0])
+        await runtime.subscribe([_PROFILES[0]])
         await runtime.command("finalize")
         work = [
             runtime.ingest(Document.from_terms("da", ["alpha"])),
-            runtime.register(_PROFILES[1]),
+            runtime.subscribe([_PROFILES[1]]),
             runtime.ingest(Document.from_terms("db", ["gamma"])),
         ]
         results = await asyncio.gather(*work)
@@ -558,9 +568,11 @@ def test_tcp_server_round_trip(tmp_path):
         def client_work():
             with ServiceClient(port=server.port) as client:
                 assert client.ping()
-                client.register("f1", ["alpha", "beta"])
-                client.register_batch(
-                    [{"filter_id": "f2", "terms": ["gamma"]}]
+                client.subscribe(
+                    [
+                        Filter.from_terms("f1", ["alpha", "beta"]),
+                        Filter.from_terms("f2", ["gamma"]),
+                    ]
                 )
                 client.finalize()
                 results["plan"] = client.ingest(

@@ -4,12 +4,15 @@ Two layers:
 
 - :class:`~repro.cluster.storage.WalWriter` /
   :class:`~repro.cluster.storage.WalReader` — CRC framing, segment
-  rotation, torn-tail tolerance, corruption detection, repair;
+  rotation, torn-tail tolerance, corruption detection, repair,
+  fsync-per-append outside group-commit windows, fail-stop on a
+  failed fsync;
 - :class:`~repro.serve.journal.JournaledSystem` — the property at the
   heart of the service mode: a node killed after a random prefix of
   mutations and recovered from its journal is **bit-identical** to a
   twin that never crashed (same match sets, same stored replica
-  counts, same RNG stream positions).
+  counts, same RNG stream positions) — and a record that does not
+  decode stops recovery by name instead of being skipped.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from repro.cluster.storage import WalReader, WalWriter
 from repro.errors import WalCorruptionError, WalError
 from repro.experiments.harness import build_cluster, make_system
 from repro.model import Document, Filter
-from repro.serve.journal import JournaledSystem, _decode_payload
+from repro.serve.journal import JournaledSystem
+from repro.serve.wire import WireEncoder, decode_record, encode_record
 
 # ---------------------------------------------------------------------------
 # WAL framing
@@ -30,7 +34,7 @@ from repro.serve.journal import JournaledSystem, _decode_payload
 
 
 def test_roundtrip_and_rotation(tmp_path):
-    writer = WalWriter(tmp_path, segment_max_bytes=64, fsync_interval=1)
+    writer = WalWriter(tmp_path, segment_max_bytes=64)
     payloads = [f"record-{i}".encode() for i in range(12)]
     lsns = [writer.append(p) for p in payloads]
     writer.close()
@@ -138,23 +142,47 @@ def test_writer_reopen_after_torn_tail_repairs_automatically(tmp_path):
     ]
 
 
-def test_fsync_batching_loses_at_most_the_unsynced_tail(tmp_path):
-    writer = WalWriter(tmp_path, fsync_interval=5)
-    for i in range(7):
+def test_append_outside_a_window_is_durable_on_return(tmp_path):
+    writer = WalWriter(tmp_path)
+    for i in range(4):
         writer.append(f"r{i}".encode())
-    # Simulate a crash: the writer is abandoned without close/sync, so
-    # only the batched-fsync prefix is on disk.
-    visible = [p for _, p in WalReader(tmp_path).replay()]
-    assert len(visible) == 5  # the synced batch; 2 tail records lost
-    assert visible == [f"r{i}".encode() for i in range(5)]
-    writer.close()  # release the handle for cleanup
+        # Each append fsynced before returning: a crash right now
+        # (abandon without close) keeps every record so far.
+        assert writer.fsyncs == i + 1
+        assert len(list(WalReader(tmp_path).replay())) == i + 1
+    writer.close()
+
+
+def test_failed_fsync_poisons_the_writer(tmp_path, monkeypatch):
+    writer = WalWriter(tmp_path)
+    writer.append(b"durable")
+
+    def broken_fsync(fd):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr("repro.cluster.storage.os.fsync", broken_fsync)
+    writer.begin_group()
+    writer.append(b"never acked")
+    with pytest.raises(WalError, match="fsync failed") as first:
+        writer.end_group()
+    monkeypatch.undo()
+    # A retried fsync may "succeed" after the kernel dropped the dirty
+    # pages, so the writer refuses everything from here on.
+    for call in (
+        lambda: writer.append(b"more"),
+        writer.begin_group,
+        writer.sync,
+        writer.rotate,
+    ):
+        with pytest.raises(WalError) as later:
+            call()
+        assert later.value is first.value
+    writer.close()  # releases the file without another fsync
 
 
 def test_writer_validates_parameters(tmp_path):
     with pytest.raises(WalError):
         WalWriter(tmp_path, segment_max_bytes=0)
-    with pytest.raises(WalError):
-        WalWriter(tmp_path, fsync_interval=0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +191,7 @@ def test_writer_validates_parameters(tmp_path):
 
 
 def test_group_commit_coalesces_appends_into_one_fsync(tmp_path):
-    writer = WalWriter(tmp_path, fsync_interval=1)
+    writer = WalWriter(tmp_path)
     baseline = writer.fsyncs
     writer.begin_group()
     for i in range(10):
@@ -229,7 +257,7 @@ def test_journal_commit_window_defers_durability(tmp_path):
     journal = JournaledSystem(tmp_path, scheme="move", num_nodes=4)
     baseline = journal.writer.fsyncs
     journal.begin_commit_window()
-    journal.register(Filter.from_terms("f1", ["term01"]))
+    journal.subscribe([Filter.from_terms("f1", ["term01"])])
     journal.finalize_registration()
     journal.publish(Document.from_terms("d1", ["term01"]))
     assert journal.writer.fsyncs == baseline
@@ -253,7 +281,7 @@ def _make_ops(seed: int, count: int = 24):
         for i in range(25)
     ]
     ops = [
-        ("register_batch", (list(profiles),)),
+        ("subscribe", (list(profiles),)),
         ("finalize_registration", ()),
     ]
     registered = [p.filter_id for p in profiles]
@@ -278,7 +306,7 @@ def _make_ops(seed: int, count: int = 24):
             )
             late_seq += 1
             registered.append(profile.filter_id)
-            ops.append(("register", (profile,)))
+            ops.append(("subscribe", ([profile],)))
         elif roll < 0.8 and len(registered) > 5:
             victim = registered.pop(rng.randrange(len(registered)))
             ops.append(("unregister", (victim,)))
@@ -334,8 +362,8 @@ def test_recovery_after_random_prefix_matches_uncrashed_twin(
         tmp_path, scheme="move", num_nodes=4, seed=seed
     )
     _apply(journal, ops[:prefix])
-    # Crash: abandon without close().  fsync_interval=1 (the default)
-    # means every applied mutation is already durable.
+    # Crash: abandon without close().  Outside a commit window every
+    # append fsyncs, so every applied mutation is already durable.
     recovered = JournaledSystem(tmp_path)
     twin = _twin(seed)
     _apply(twin, ops[:prefix])
@@ -369,7 +397,7 @@ def test_double_replay_is_idempotent(tmp_path):
     replicas_before = _replica_counts(recovered.system)
     applied_again = 0
     for lsn, payload in WalReader(tmp_path).replay():
-        record = _decode_payload(payload)
+        record = decode_record(payload)
         if record["op"] == "setup":
             continue
         if recovered.replay_record(lsn, record):
@@ -381,9 +409,29 @@ def test_double_replay_is_idempotent(tmp_path):
 
 def test_recovery_requires_setup_record(tmp_path):
     writer = WalWriter(tmp_path)
-    writer.append(b'{"op": "finalize"}')
+    writer.append(encode_record(WireEncoder(), {"op": "finalize"}))
     writer.close()
-    with pytest.raises(WalError):
+    with pytest.raises(WalError, match="expected 'setup'"):
+        JournaledSystem(tmp_path)
+
+
+@pytest.mark.parametrize("json_at", ["setup", "tail"])
+def test_json_era_record_refuses_recovery_by_lsn(tmp_path, json_at):
+    """A record in the retired JSON format never decodes: recovery
+    names its lsn and refuses to boot rather than skip it."""
+    if json_at == "setup":
+        writer = WalWriter(tmp_path)
+        writer.append(b'{"num_nodes": 4, "op": "setup", "seed": 0}')
+        writer.close()
+        lsn = 1
+    else:
+        journal = JournaledSystem(tmp_path, scheme="move", num_nodes=4)
+        _apply(journal, _make_ops(seed=3, count=4))
+        journal.close()
+        writer = WalWriter(tmp_path)
+        lsn = writer.append(b'{"filter_id": "f1", "op": "unregister"}')
+        writer.close()
+    with pytest.raises(WalError, match=f"lsn {lsn} does not decode"):
         JournaledSystem(tmp_path)
 
 
@@ -395,13 +443,13 @@ def test_failed_operations_do_not_poison_recovery(tmp_path):
     anchor = Filter.from_terms("anchor", ["term01", "term02"])
     journal = JournaledSystem(tmp_path, scheme="move", num_nodes=4, seed=13)
     _apply(journal, ops)
-    journal.register(anchor)
+    journal.subscribe([anchor])
     with pytest.raises(ValueError):
-        journal.register(Filter.from_terms("anchor", ["term05"]))
+        journal.subscribe([Filter.from_terms("anchor", ["term05"])])
     with pytest.raises(KeyError):
         journal.unregister("no-such-filter")
     more = [
-        ("register", (Filter.from_terms("fresh", ["term03", "term04"]),)),
+        ("subscribe", ([Filter.from_terms("fresh", ["term03", "term04"])],)),
         ("reallocate", (True, None)),
     ]
     _apply(journal, more)
@@ -410,7 +458,7 @@ def test_failed_operations_do_not_poison_recovery(tmp_path):
     assert recovered.replay_skipped == 2
     twin = _twin(13)
     _apply(twin, ops)
-    twin.register(anchor)
+    twin.subscribe([anchor])
     _apply(twin, more)
     _assert_bit_identical(recovered.system, twin)
 
@@ -435,13 +483,25 @@ def test_empty_segments_boot_fresh(tmp_path):
 def test_fully_torn_journal_boots_fresh(tmp_path):
     """Same contract when the only record was torn by the crash."""
     writer = WalWriter(tmp_path)
-    writer.append(b'{"op": "setup"}')
+    writer.append(
+        encode_record(
+            WireEncoder(),
+            {
+                "op": "setup",
+                "scheme": "move",
+                "num_nodes": 2,
+                "node_capacity": 10,
+                "seed": 0,
+                "threshold": None,
+            },
+        )
+    )
     writer.close()
     segment = WalReader(tmp_path).segments()[-1]
     segment.write_bytes(segment.read_bytes()[:-4])  # setup never durable
     journal = JournaledSystem(tmp_path, scheme="move", num_nodes=4, seed=3)
     assert journal.setup["num_nodes"] == 4
-    journal.register(Filter.from_terms("f0", ["term00"]))
+    journal.subscribe([Filter.from_terms("f0", ["term00"])])
     journal.close()
     recovered = JournaledSystem(tmp_path)
     assert recovered.setup["seed"] == 3
