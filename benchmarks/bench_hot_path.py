@@ -266,15 +266,9 @@ def test_hot_path_central_vsm(benchmark):
 # ``scripts/run_benchmarks.py --check`` re-asserts the floor even if a
 # bench's inline assert is ever relaxed.
 
-import pytest
-
 from repro.config import SystemConfig
-from repro.matching import HAVE_NUMPY, InvertedIndex, SiftMatcher
+from repro.matching import InvertedIndex, SiftMatcher
 from repro.matching.vsm import VsmScorer
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="CSR backend requires numpy"
-)
 
 #: Matching-dominant workload for the matcher-level benches: at 50k
 #: filters the posting blocks are large enough that per-posting python
@@ -366,7 +360,6 @@ def _bench_csr(benchmark, label, floor, timer, *args) -> float:
     return speedup
 
 
-@needs_numpy
 def test_csr_matcher_50k(benchmark):
     """Pure matching at 50k filters: the >= 3x acceptance gate.
 
@@ -380,7 +373,6 @@ def test_csr_matcher_50k(benchmark):
     )
 
 
-@needs_numpy
 def test_csr_matcher_20k(benchmark):
     """Pure matching at 20k filters: mid-scale never-worse floor."""
     bundle = _csr_bundle(CSR_MID_FILTERS)
@@ -389,7 +381,6 @@ def test_csr_matcher_20k(benchmark):
     )
 
 
-@needs_numpy
 def test_csr_central_pipeline_20k(benchmark):
     """Whole Centralized publish_batch at 20k filters.
 
@@ -408,7 +399,6 @@ def test_csr_central_pipeline_20k(benchmark):
     )
 
 
-@needs_numpy
 def test_csr_rs_pipeline_4k(benchmark):
     """Whole RS publish_batch on the Figure-8 workload.
 
@@ -435,7 +425,6 @@ def test_csr_rs_pipeline_4k(benchmark):
     )
 
 
-@needs_numpy
 def test_csr_move_pipeline_4k(benchmark):
     """Whole MOVE publish_batch on the Figure-8 workload.
 

@@ -8,9 +8,9 @@ the common case for long-lived subscriptions) and then calls
 ``reallocate()``.  Three configurations of the same system run the
 identical churn schedule:
 
-- *from-scratch* — ``AllocationConfig(incremental=False)``: every
-  refresh replans and rebuilds every allocated subset index, the seed
-  apply path;
+- *from-scratch* — every plan goes through
+  ``MoveSystem._apply_plan_full``: every refresh replans and rebuilds
+  every allocated subset index, the seed apply path;
 - *incremental* — plan diffing (:mod:`repro.core.reallocation`):
   every refresh replans, but unchanged/delta keys keep their live
   indexes and only resized/new keys rebuild;
@@ -42,7 +42,8 @@ import time
 from dataclasses import replace
 from statistics import mean, median
 
-from repro.experiments.harness import build_cluster, make_system
+from repro.core import MoveSystem
+from repro.experiments.harness import build_cluster
 from repro.model import Filter
 
 from conftest import BENCH_WORKLOAD, record, run_once
@@ -67,6 +68,13 @@ DRIFT_EPSILON = 0.05
 SPEEDUP_CAP = 50.0
 
 
+class _FromScratchMove(MoveSystem):
+    """MOVE applying every plan through the from-scratch rebuild."""
+
+    def _apply_plan_incremental(self, plan):
+        return self._apply_plan_full(plan)
+
+
 def _build_move(bundle, incremental: bool, drift_epsilon: float = 0.0):
     """Register + seed + allocate one MOVE system over the workload.
 
@@ -85,12 +93,12 @@ def _build_move(bundle, incremental: bool, drift_epsilon: float = 0.0):
         config,
         allocation=replace(
             config.allocation,
-            incremental=incremental,
             drift_epsilon=drift_epsilon,
             randomized_rounding=False,
         ),
     )
-    system = make_system("move", cluster, config)
+    system_cls = MoveSystem if incremental else _FromScratchMove
+    system = system_cls(cluster, config)
     system.subscribe(bundle.filters)
     system.seed_frequencies(bundle.offline_corpus())
     system.finalize_registration()

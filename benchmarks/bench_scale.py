@@ -15,13 +15,17 @@ Two tiers::
     python benchmarks/bench_scale.py --tier full          # 1M filters
     python benchmarks/bench_scale.py --tier both --json BENCH_scale.json
 
-- **ci** runs every scheme twice — object storage and slab storage —
-  over a 100k-filter / 2k-document stream, asserts the twins are
-  bit-identical (match checksums, stored replicas, RNG fingerprints)
-  and that the slab's bytes/filter is at least ``RATIO_FLOOR`` times
-  lower than the object path's.  This is the CI smoke job.
-- **full** runs the slab tier over 1M filters / 100k documents per
-  scheme — the committed ``BENCH_scale.json`` trajectory.
+- **ci** runs every scheme over a 100k-filter / 2k-document stream.
+  This is the CI smoke job.
+- **full** runs every scheme over 1M filters / 100k documents.
+
+Both tiers check each fresh run against a recorded oracle: its
+``ORACLE_KEYS`` (match checksum, matches per document, stored
+replicas, RNG fingerprint) must equal the values committed in
+``BENCH_scale.json`` for the same tier and scheme.  Those values were
+recorded while the per-object filter layout and the columnar slab ran
+side by side and agreed bit for bit, so a layout or hot-path change
+that alters what is delivered, stored or drawn fails here.
 
 Each measurement runs in its own subprocess (``--worker``) so RSS
 deltas and peaks are clean per run; the parent collects one JSON
@@ -29,6 +33,9 @@ object per worker from stdout.  The recorded floors travel inside the
 JSON (see ``FLOORS``) and are re-asserted from the committed file by
 ``scripts/run_benchmarks.py`` in both gate modes, so a regression in a
 re-recorded trajectory fails the gate without any external config.
+``--json`` rewrites only the tiers that ran; the file's other tiers
+keep their recorded entries.  Per-scheme entries keep the ``slab`` key
+the trajectory has always been recorded under.
 
 Simulated latency: each published document's latency is the slowest of
 its delivery tasks under the cost model's ``match_time`` (the same
@@ -46,7 +53,6 @@ import subprocess
 import sys
 import time
 import zlib
-from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -55,21 +61,27 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 #: Marker line prefix a worker uses to hand its result to the parent.
 RESULT_MARK = "BENCH_SCALE_RESULT:"
 
-#: Acceptance floor: slab bytes/filter must beat object by this factor
-#: at the CI tier (the ISSUE's >= 3x criterion).
-RATIO_FLOOR = 3.0
+#: The committed trajectory, which doubles as the run's oracle.
+COMMITTED_PATH = REPO_ROOT / "BENCH_scale.json"
+
+#: Result fields a fresh run must reproduce exactly from the committed
+#: trajectory (see the module docstring).
+ORACLE_KEYS = (
+    "match_checksum",
+    "matches_per_doc",
+    "stored_replicas",
+    "rng_fingerprint",
+)
 
 #: Self-describing floors recorded into the JSON and re-asserted from
 #: the committed file by scripts/run_benchmarks.py.  Values are
 #: deliberately conservative: they catch a storage-layout or hot-path
 #: collapse, not host-speed jitter.
 FLOORS = {
-    # Slab-mode resident bytes per registered filter, full tier.
+    # Resident bytes per registered filter, full tier.
     "slab_bytes_per_filter_max": 800.0,
     # Batched publish throughput, any scheme, full tier (docs/s).
     "docs_per_second_min": 50.0,
-    # Object/slab bytes-per-filter ratio, ci tier.
-    "object_slab_ratio_min": RATIO_FLOOR,
 }
 
 #: Tier geometry.  Vocabulary scales at ~0.19x filters (the ratio the
@@ -82,13 +94,11 @@ TIERS = {
         "filters": 100_000,
         "documents": 2_000,
         "vocabulary": 19_000,
-        "storages": ("object", "slab"),
     },
     "full": {
         "filters": 1_000_000,
         "documents": 100_000,
         "vocabulary": 190_000,
-        "storages": ("slab",),
     },
 }
 
@@ -97,7 +107,7 @@ NODES = 20
 #: Streamed-registration chunk.  Deliberately modest: the transient
 #: chunk list of Filter objects is itself resident while a chunk
 #: registers, and at 20k filters/chunk that transient (~18 MB) would
-#: dominate the slab path's bytes/filter measurement.
+#: dominate the bytes/filter measurement.
 REGISTER_CHUNK = 5_000
 PUBLISH_BATCH = 1_000
 
@@ -138,7 +148,6 @@ def run_worker(spec: dict) -> dict:
     cluster, config = build_cluster(
         workload.num_nodes, workload.node_capacity, seed=spec["seed"]
     )
-    config = replace(config, filter_storage=spec["storage"])
     system = make_system(spec["scheme"], cluster, config)
     cost_model = MatchCostModel(config.cost_model)
 
@@ -196,7 +205,6 @@ def run_worker(spec: dict) -> dict:
     storage = system.storage_distribution()
     result = {
         "scheme": spec["scheme"],
-        "storage": spec["storage"],
         "filters": registered,
         "documents": documents,
         "register_seconds": round(register_seconds, 3),
@@ -221,19 +229,17 @@ def run_worker(spec: dict) -> dict:
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
         ),
     }
-    if system.filter_slab is not None:
-        stats = system.filter_slab.stats()
-        result["slab"] = {
-            key: stats[key]
-            for key in ("live_filters", "slots", "term_cells",
-                        "memory_bytes")
-        }
+    stats = system.filter_slab.stats()
+    result["slab"] = {
+        key: stats[key]
+        for key in ("live_filters", "slots", "term_cells", "memory_bytes")
+    }
     return result
 
 
 def spawn_worker(spec: dict) -> dict:
     """Run one measurement in a clean subprocess; parse its result."""
-    label = f"{spec['scheme']}/{spec['storage']}"
+    label = spec["scheme"]
     print(f"-- {label}: {spec['filters']:,} filters, "
           f"{spec['documents']:,} docs", flush=True)
     t0 = time.perf_counter()
@@ -267,62 +273,42 @@ def spawn_worker(spec: dict) -> dict:
     return payload
 
 
-def _twin_keys(run: dict) -> tuple:
-    """The equivalence-contract fields of one worker result."""
-    return (
-        run["match_checksum"],
-        run["matches_per_doc"],
-        run["stored_replicas"],
-        run["rng_fingerprint"],
-        run["filters"],
-        run["documents"],
-    )
+def _check_oracle(scheme: str, run: dict, recorded: dict) -> list:
+    """Failures where ``run`` differs from the recorded oracle run."""
+    if recorded is None:
+        return [f"{scheme}: no committed run to check against"]
+    failures = []
+    for key in ORACLE_KEYS:
+        if run[key] != recorded.get(key):
+            failures.append(
+                f"{scheme}: {key} {run[key]!r} != committed "
+                f"{recorded.get(key)!r}"
+            )
+    verdict = "FAIL: differs from" if failures else "ok: matches"
+    print(f"   {scheme} {verdict} the committed oracle", flush=True)
+    return failures
 
 
-def run_tier(tier: str, schemes) -> dict:
+def run_tier(tier: str, schemes, committed: dict) -> dict:
     geometry = TIERS[tier]
+    recorded = committed.get(tier, {}).get("schemes", {})
     results = {}
     failures = []
     for scheme in schemes:
-        per_storage = {}
-        for storage in geometry["storages"]:
-            spec = {
-                "scheme": scheme,
-                "storage": storage,
-                "filters": geometry["filters"],
-                "documents": geometry["documents"],
-                "vocabulary": geometry["vocabulary"],
-                "nodes": NODES,
-                "capacity": 3 * geometry["filters"] // NODES,
-                "seed": 7,
-            }
-            per_storage[storage] = spawn_worker(spec)
-        entry = dict(per_storage)
-        if "object" in per_storage and "slab" in per_storage:
-            obj, slab = per_storage["object"], per_storage["slab"]
-            if _twin_keys(obj) != _twin_keys(slab):
-                failures.append(
-                    f"{scheme}: object/slab twins diverged "
-                    f"({_twin_keys(obj)} vs {_twin_keys(slab)})"
-                )
-            ratio = obj["bytes_per_filter"] / max(
-                1.0, slab["bytes_per_filter"]
-            )
-            entry["object_slab_ratio"] = round(ratio, 2)
-            entry["equivalent"] = _twin_keys(obj) == _twin_keys(slab)
-            status = "ok" if ratio >= RATIO_FLOOR else "FAIL"
-            print(
-                f"   {status} {scheme}: slab saves {ratio:.1f}x "
-                f"bytes/filter (floor {RATIO_FLOOR}x), twins "
-                f"{'identical' if entry['equivalent'] else 'DIVERGED'}",
-                flush=True,
-            )
-            if ratio < RATIO_FLOOR:
-                failures.append(
-                    f"{scheme}: object/slab bytes-per-filter ratio "
-                    f"{ratio:.2f} below floor {RATIO_FLOOR}"
-                )
-        results[scheme] = entry
+        spec = {
+            "scheme": scheme,
+            "filters": geometry["filters"],
+            "documents": geometry["documents"],
+            "vocabulary": geometry["vocabulary"],
+            "nodes": NODES,
+            "capacity": 3 * geometry["filters"] // NODES,
+            "seed": 7,
+        }
+        run = spawn_worker(spec)
+        failures += _check_oracle(
+            scheme, run, recorded.get(scheme, {}).get("slab")
+        )
+        results[scheme] = {"slab": run}
     if failures:
         for failure in failures:
             print(f"FAILURE: {failure}", file=sys.stderr)
@@ -378,15 +364,19 @@ def main(argv=None) -> int:
 
     schemes = args.scheme or list(SCHEMES)
     tiers = ["ci", "full"] if args.tier == "both" else [args.tier]
+    committed = json.loads(COMMITTED_PATH.read_text())["tiers"]
+    previous = {}
+    if args.json is not None and args.json.exists():
+        previous = json.loads(args.json.read_text())["tiers"]
     payload = {
         "version": 1,
         "datetime": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "floors": FLOORS,
-        "tiers": {},
+        "tiers": previous,
     }
     for tier in tiers:
         print(f"== tier: {tier} ==", flush=True)
-        payload["tiers"][tier] = run_tier(tier, schemes)
+        payload["tiers"][tier] = run_tier(tier, schemes, committed)
     if args.json is not None:
         args.json.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {args.json}")

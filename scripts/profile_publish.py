@@ -14,8 +14,7 @@ Examples::
     python scripts/profile_publish.py --scheme il --sort tottime --top 40
     python scripts/profile_publish.py --scheme central --threshold 0.2 \
         --backend python --backend csr
-    python scripts/profile_publish.py --scheme move --memory \
-        --storage slab
+    python scripts/profile_publish.py --scheme move --memory
 
 ``--backend`` selects the matching-kernel backend (threshold mode
 only); repeat it to profile the same workload under several backends,
@@ -25,8 +24,7 @@ vectorized CSR pass shifts the hot spots.
 ``--memory`` switches from cProfile to tracemalloc: each pipeline
 stage (registration, finalize/allocation, publish) is snapshotted and
 its top allocators printed by aggregate size — the tool that located
-the per-filter overheads the slab store (``--storage slab``)
-eliminates.
+the per-filter overheads the columnar slab store eliminated.
 
 Run from the repository root; ``src/`` is put on ``sys.path``
 automatically.
@@ -116,12 +114,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         ),
     )
     parser.add_argument(
-        "--storage",
-        default=None,
-        choices=["object", "slab"],
-        help="filter storage layout (default: the config default)",
-    )
-    parser.add_argument(
         "--backend",
         action="append",
         choices=["python", "csr"],
@@ -149,8 +141,6 @@ def build_system(args, backend=None):
         config = replace(config, matching_kernel=False)
     if backend is not None:
         config = replace(config, matching_backend=backend)
-    if args.storage is not None:
-        config = replace(config, filter_storage=args.storage)
     system = make_system(
         args.scheme, cluster, config, threshold=args.threshold
     )
@@ -237,8 +227,6 @@ def profile_memory(args, backend=None) -> None:
         config = replace(config, matching_kernel=False)
     if backend is not None:
         config = replace(config, matching_backend=backend)
-    if args.storage is not None:
-        config = replace(config, filter_storage=args.storage)
 
     root = str(Path(__file__).resolve().parent.parent)
     tracemalloc.start(1)
@@ -267,8 +255,7 @@ def profile_memory(args, backend=None) -> None:
     finally:
         tracemalloc.stop()
 
-    storage = config.filter_storage
-    print(f"== memory profile: {args.scheme} (storage={storage}) ==")
+    print(f"== memory profile: {args.scheme} ==")
     _print_memory_stage(
         "registration", baseline, registered, args.top
     )

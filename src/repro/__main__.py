@@ -135,6 +135,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .serve.wire import BINARY_PROTOCOL_VERSION
 
         runtime = ServiceRuntime(config)
+        if runtime.journal is not None:
+            for reason in runtime.journal.snapshot_skip_reasons:
+                print(f"snapshot skipped: {reason}", file=sys.stderr)
         server = ServiceServer(runtime, host=args.host, port=args.port)
         await server.start()
         print(

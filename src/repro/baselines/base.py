@@ -28,7 +28,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
-    Dict,
     Iterable,
     List,
     Optional,
@@ -133,28 +132,15 @@ class DisseminationSystem(ABC):
         #: :func:`repro.obs.set_default_tracer` installed one); assign
         #: a :class:`repro.obs.Tracer` any time to start tracing.
         self.tracer = get_default_tracer()
-        #: Columnar filter storage (``filter_storage="slab"``): one
-        #: shared :class:`~repro.model.slab.FilterSlabStore` holds
-        #: every registered filter's interned term-ids, the registry
-        #: below becomes a lazy view over it, and the scheme's indexes
-        #: are :class:`~repro.matching.slab_index.SlabBackedIndex`es
-        #: whose postings store slab slots.  ``None`` in the default
-        #: object mode.
-        self.filter_slab: Optional[FilterSlabStore] = (
-            FilterSlabStore()
-            if self.config.filter_storage == "slab"
-            else None
-        )
-        self._registered: MutableMapping[str, Filter] = (
-            SlabRegistry(self.filter_slab)
-            if self.filter_slab is not None
-            else {}
-        )
-        #: Parsed predicates of predicated subscriptions, keyed by id
-        #: (object mode only; slab mode keeps the raw query text in
-        #: the slab's sparse query column and parses lazily).
-        self._predicates: Optional[Dict[str, QueryNode]] = (
-            None if self.filter_slab is not None else {}
+        #: Columnar filter storage: one shared
+        #: :class:`~repro.model.slab.FilterSlabStore` holds every
+        #: registered filter's interned term-ids (and the raw query
+        #: text of predicated subscriptions), the registry below is a
+        #: lazy view over it, and the scheme's indexes store its slots
+        #: in their postings.
+        self.filter_slab = FilterSlabStore()
+        self._registered: MutableMapping[str, Filter] = SlabRegistry(
+            self.filter_slab
         )
         #: How many registered subscriptions carry a delivery-time
         #: predicate; ``0`` keeps every batch on the anchor-only fast
@@ -253,46 +239,13 @@ class DisseminationSystem(ABC):
             is DisseminationSystem._apply_semantics
         )
 
-    # -- storage layout ------------------------------------------------------
-
     def _make_index(self) -> InvertedIndex:
-        """One local inverted index in the configured storage layout.
+        """One local inverted index over the system's shared slab.
 
-        Object mode: the classic :class:`InvertedIndex`.  Slab mode: a
-        :class:`~repro.matching.slab_index.SlabBackedIndex` sharing the
-        system's :attr:`filter_slab`, whose postings hold slab slots.
         Every scheme constructs its per-node/home/subset indexes
         through this hook.
         """
-        if self.filter_slab is not None:
-            from ..matching.slab_index import SlabBackedIndex
-
-            return SlabBackedIndex(self.filter_slab)
-        return InvertedIndex()
-
-    def _store_filter(self, node_id: str, profile: Filter) -> None:
-        """Persist one stored replica's filter payload on a node.
-
-        Object mode writes the sorted-terms row into the node's
-        filter-store column family (what an SSTable would hold).  Slab
-        mode skips the per-row write entirely: the shared columnar
-        slab *is* the filter payload store, and materializing 2–3
-        replica rows per filter is exactly the per-object overhead the
-        slab tier removes (KV write counters are therefore not part of
-        the slab/object equivalence contract — match sets, RNG
-        streams, and stored replica counts are).
-        """
-        if self.filter_slab is not None:
-            return
-        self.cluster.node(node_id).filter_store.put(
-            profile.filter_id, "terms", profile.sorted_terms()
-        )
-
-    def _unstore_filter(self, node_id: str, filter_id: str) -> None:
-        """Drop one stored replica's filter payload (see above)."""
-        if self.filter_slab is not None:
-            return
-        self.cluster.node(node_id).filter_store.delete(filter_id)
+        return InvertedIndex(self.filter_slab)
 
     # -- batch contract ------------------------------------------------------
 
@@ -445,15 +398,12 @@ class DisseminationSystem(ABC):
 
         Flat registrations appear as :class:`~repro.model.Filter`,
         predicated ones as :class:`~repro.model.Subscription` (whose
-        ``query`` carries the original text).  Object mode returns a
-        snapshot copy; slab mode returns a lazy read-only proxy that
-        rehydrates one profile at a time through the slab's bounded
-        cache.  This view replaces direct ``registered_filters``
-        mapping pokes.
+        ``query`` carries the original text).  The view is a lazy
+        read-only proxy that rehydrates one profile at a time through
+        the slab's bounded cache.  This view replaces direct
+        ``registered_filters`` mapping pokes.
         """
-        if self.filter_slab is not None:
-            return MappingProxyType(self._registered)
-        return dict(self._registered)
+        return MappingProxyType(self._registered)
 
     def register(self, profile: Filter) -> None:
         """Deprecated: use :meth:`subscribe`."""
@@ -494,8 +444,6 @@ class DisseminationSystem(ABC):
                 and profile.predicate is not None
             ):
                 self._predicate_count += 1
-                if self._predicates is not None:
-                    self._predicates[profile.filter_id] = profile.predicate
 
     def _admit_one(self, profile: Filter) -> None:
         """Register one profile (the old ``register`` body)."""
@@ -585,8 +533,6 @@ class DisseminationSystem(ABC):
             and profile.predicate is not None
         ):
             self._predicate_count -= 1
-            if self._predicates is not None:
-                self._predicates.pop(filter_id, None)
         del self._registered[filter_id]
         self._mutation_epoch += 1
         if self._kernel is not None:
@@ -621,12 +567,9 @@ class DisseminationSystem(ABC):
     def _predicate_of(self, filter_id: str) -> Optional[QueryNode]:
         """The parsed predicate of ``filter_id``, or None if flat.
 
-        Object mode answers from the predicate dict; slab mode asks
-        the slab, which parses the stored raw query text lazily and
-        memoizes the tree per slot.
+        The slab parses the stored raw query text lazily and memoizes
+        the tree per slot.
         """
-        if self._predicates is not None:
-            return self._predicates.get(filter_id)
         return self.filter_slab.predicate_by_id(filter_id)
 
     def _apply_predicate_gate(

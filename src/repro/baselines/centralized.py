@@ -184,21 +184,19 @@ class CentralizedSystem(DisseminationSystem):
     # -- registration ----------------------------------------------------
 
     def _register(self, profile: Filter) -> None:
-        self._store_filter(self.central_node, profile)
         # Full local inverted list: indexed under every term.
         self.index.add_filter(profile)
         self.metrics.load("storage_replicas").add(self.central_node, 1.0)
 
     def _register_batch(self, profiles) -> None:
         """Bulk registration: identical placement to the per-filter
-        loop (same store writes and load updates, in the same order),
+        loop (same load updates, in the same order),
         with the central inverted list loaded through ``add_filters``
         — one sort per posting list instead of one insert per filter.
         """
         storage_load = self.metrics.load("storage_replicas")
         buffered: List[Tuple[Filter, None]] = []
         for profile in profiles:
-            self._store_filter(self.central_node, profile)
             buffered.append((profile, None))
             storage_load.add(self.central_node, 1.0)
         if buffered:
@@ -207,7 +205,6 @@ class CentralizedSystem(DisseminationSystem):
     def _unregister(self, profile: Filter) -> None:
         """Remove the filter from the central node."""
         self.index.remove_filter(profile.filter_id)
-        self._unstore_filter(self.central_node, profile.filter_id)
 
     # -- dissemination (pipeline stage hooks) ------------------------------
 

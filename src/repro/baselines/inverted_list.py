@@ -79,10 +79,8 @@ class InvertedListSystem(DisseminationSystem):
         storage_load = self.metrics.load("storage_replicas")
         for term in profile.terms:
             node_id = self.home_of(term)
-            # Full filter object stored via the filter store (Figure 3;
-            # the columnar slab in slab mode) and indexed under this
-            # home node's term only.
-            self._store_filter(node_id, profile)
+            # Filter stored in the shared slab (Figure 3's filter
+            # store) and indexed under this home node's term only.
             self.index_of(node_id).add_filter(
                 profile, indexed_terms=[term]
             )
@@ -92,7 +90,7 @@ class InvertedListSystem(DisseminationSystem):
 
     def _register_batch(self, profiles) -> None:
         """Bulk registration: identical placement to the per-filter
-        loop (same store writes, bloom and load updates, in the same
+        loop (same bloom and load updates, in the same
         order), with each home index loaded through ``add_filters`` —
         one sort per posting list instead of one insert per replica."""
         storage_load = self.metrics.load("storage_replicas")
@@ -101,7 +99,6 @@ class InvertedListSystem(DisseminationSystem):
         for profile in profiles:
             for term in profile.terms:
                 node_id = self.home_of(term)
-                self._store_filter(node_id, profile)
                 buffers.setdefault(node_id, []).append(
                     (profile, [term])
                 )
@@ -193,7 +190,6 @@ class InvertedListSystem(DisseminationSystem):
             if profile.filter_id in index:
                 index.remove_filter(profile.filter_id)
                 storage_load.add(node_id, 0.0)
-            self._unstore_filter(node_id, profile.filter_id)
 
     # -- elasticity -----------------------------------------------------------
 
@@ -216,7 +212,6 @@ class InvertedListSystem(DisseminationSystem):
                 target_index = self.index_of(new_home)
                 storage_load = self.metrics.load("storage_replicas")
                 for profile in filters:
-                    self._store_filter(new_home, profile)
                     target_index.add_filter(
                         profile, indexed_terms=[term]
                     )

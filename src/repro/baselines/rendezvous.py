@@ -95,14 +95,13 @@ class RendezvousSystem(DisseminationSystem):
         partition = self._partitions[self.partition_of(profile.filter_id)]
         storage_load = self.metrics.load("storage_replicas")
         for node_id in partition:
-            self._store_filter(node_id, profile)
             # Full local inverted list: indexed under every term.
             self._indexes[node_id].add_filter(profile)
             storage_load.add(node_id, 1.0)
 
     def _register_batch(self, profiles) -> None:
         """Bulk registration: identical placement to the per-filter
-        loop (same store writes and load updates, in the same order),
+        loop (same load updates, in the same order),
         with each replica's local inverted list loaded through
         ``add_filters`` — one sort per posting list instead of one
         insert per filter."""
@@ -113,7 +112,6 @@ class RendezvousSystem(DisseminationSystem):
                 self.partition_of(profile.filter_id)
             ]
             for node_id in partition:
-                self._store_filter(node_id, profile)
                 buffers.setdefault(node_id, []).append((profile, None))
                 storage_load.add(node_id, 1.0)
         for node_id, buffered in buffers.items():
@@ -124,7 +122,6 @@ class RendezvousSystem(DisseminationSystem):
         partition = self._partitions[self.partition_of(profile.filter_id)]
         for node_id in partition:
             self._indexes[node_id].remove_filter(profile.filter_id)
-            self._unstore_filter(node_id, profile.filter_id)
 
     # -- dissemination (pipeline stage hooks) ------------------------------
 

@@ -1,10 +1,12 @@
 """A cluster node: storage engine + disk-bound service queue.
 
 This is the unit the paper's per-node analysis reasons about.  The
-node owns the three MOVE data stores (filter store, local inverted
-list, meta-data store — Section V, Figure 3) as column families, plus a
+node owns a key/value :class:`~repro.cluster.storage.StorageEngine`
+(the replicated KV client creates its column families there) plus a
 :class:`~repro.sim.server.FifoServer` modelling its disk-bound match
-service.
+service.  The MOVE filter store and local inverted lists of Figure 3
+live in the dissemination system's columnar slab and
+:class:`~repro.matching.inverted_index.InvertedIndex` instances.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from ..errors import NodeDownError
 from ..obs.metrics import MetricsRegistry
 from ..sim.engine import Simulator
 from ..sim.server import FifoServer
-from .storage import ColumnFamilyStore, StorageEngine
-
-#: Column family names used by the MOVE stores (Figure 3).
-CF_FILTER_STORE = "filter_store"
-CF_INVERTED_LIST = "inverted_list"
-CF_META_DATA = "meta_data"
+from .storage import StorageEngine
 
 
 class ClusterNode:
@@ -46,14 +43,6 @@ class ClusterNode:
             self.sim, name=f"{node_id}/disk", registry=registry
         )
         self.alive = True
-        # Pre-create the three MOVE stores so every subsystem finds them.
-        self.filter_store = self.storage.create_column_family(
-            CF_FILTER_STORE
-        )
-        self.inverted_list_store = self.storage.create_column_family(
-            CF_INVERTED_LIST
-        )
-        self.meta_store = self.storage.create_column_family(CF_META_DATA)
 
     def crash(self) -> None:
         """Fail-stop: reject new work, pause the service queue."""

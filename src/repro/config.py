@@ -111,12 +111,6 @@ class AllocationConfig:
     randomized_rounding: bool = True
     #: Seconds between statistic renewals (600 s = 10 min in the paper).
     refresh_interval: float = 600.0
-    #: Apply allocation plans incrementally (plan diffing: unchanged
-    #: keys keep their subset indexes, churned keys apply deltas, only
-    #: resized grids rebuild).  ``False`` forces the from-scratch
-    #: rebuild on every ``reallocate`` — the pre-engine behaviour, kept
-    #: for benchmarking and differential testing.
-    incremental: bool = True
     #: Drift threshold for the refresh gate: when the demand drift
     #: since the last applied plan (frequency-window movement plus
     #: filter churn; see ``MoveSystem.estimate_drift``) stays below
@@ -173,28 +167,14 @@ class SystemConfig:
     #: (their mutation paths have since been removed).
     matching_kernel: bool = True
     #: Which scoring engine runs behind the kernel interface:
-    #: ``"auto"`` (the vectorized CSR backend when numpy is
-    #: importable, else the pure-python kernel), ``"csr"`` (require
-    #: the vectorized backend; a :class:`ConfigurationError` without
-    #: numpy), or ``"python"`` (force the pure-python kernel — the
-    #: equivalence oracle and the no-dependency fallback).  Both
-    #: backends produce bit-identical scores and plans; see
-    #: :mod:`repro.matching.csr_kernel`.
+    #: ``"auto"`` / ``"csr"`` (the vectorized CSR backend) or
+    #: ``"python"`` (force the pure-python kernel — the equivalence
+    #: oracle).  Both backends produce bit-identical scores and
+    #: plans; see :mod:`repro.matching.csr_kernel`.
     matching_backend: str = "auto"
-    #: How registered filters are stored: ``"object"`` (one ``Filter``
-    #: dataclass per registration plus per-index bookkeeping dicts —
-    #: the historical layout) or ``"slab"`` (one shared columnar
-    #: :class:`repro.model.slab.FilterSlabStore` of interned term-ids
-    #: per system; posting lists hold slab slots and ``Filter`` objects
-    #: are rehydrated lazily at delivery boundaries).  Both layouts are
-    #: bit-identical in match sets, RNG streams, and stored replica
-    #: counts; ``"slab"`` cuts bytes/filter by an order of magnitude at
-    #: the million-filter tier (see docs/PERFORMANCE.md).
-    filter_storage: str = "object"
     seed: Optional[int] = 0
 
     _MATCHING_BACKENDS = ("auto", "csr", "python")
-    _FILTER_STORAGES = ("object", "slab")
 
     def __post_init__(self) -> None:
         if self.expected_filter_terms < 1:
@@ -205,9 +185,4 @@ class SystemConfig:
             raise ConfigurationError(
                 f"unknown matching backend {self.matching_backend!r}; "
                 f"expected one of {self._MATCHING_BACKENDS}"
-            )
-        if self.filter_storage not in self._FILTER_STORAGES:
-            raise ConfigurationError(
-                f"unknown filter storage {self.filter_storage!r}; "
-                f"expected one of {self._FILTER_STORAGES}"
             )

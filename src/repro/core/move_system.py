@@ -140,7 +140,6 @@ class MoveSystem(DisseminationSystem):
             node_id = self.home_of(term)
             key = node_id if aggregate else term
             key_epochs[key] = key_epochs.get(key, 0) + 1
-            self._store_filter(node_id, profile)
             self._home_indexes[node_id].add_filter(
                 profile, indexed_terms=[term]
             )
@@ -151,7 +150,7 @@ class MoveSystem(DisseminationSystem):
 
     def _register_batch(self, profiles) -> None:
         """Bulk registration: identical placement to the per-filter
-        loop (same store writes, stats, bloom and load updates, in the
+        loop (same stats, bloom and load updates, in the
         same order), with each home index loaded through
         ``add_filters`` — one sort per posting list instead of one
         insert per filter replica."""
@@ -167,7 +166,6 @@ class MoveSystem(DisseminationSystem):
                 node_id = self.home_of(term)
                 key = node_id if aggregate else term
                 key_epochs[key] = key_epochs.get(key, 0) + 1
-                self._store_filter(node_id, profile)
                 buffers.setdefault(node_id, []).append(
                     (profile, [term])
                 )
@@ -221,7 +219,6 @@ class MoveSystem(DisseminationSystem):
             index = self._home_indexes[home_id]
             if profile.filter_id in index:
                 index.remove_filter(profile.filter_id)
-            self._unstore_filter(home_id, profile.filter_id)
             if self.plan is None:
                 continue
             table = self.plan.tables.get(origin_key)
@@ -368,18 +365,17 @@ class MoveSystem(DisseminationSystem):
         either case an allocated node indexes its subset under the
         terms the origin home node serves.
 
-        Dispatches to the incremental engine (plan diffing, per-key
-        rebuilds) unless ``allocation.incremental`` is disabled, in
-        which case every key is rebuilt from scratch — the baseline
-        path the equivalence tests and benchmarks compare against.
-        Both paths leave identical index state and finish by
-        reconciling the epoch/write-through bookkeeping and the
-        allocated-storage tracker.
+        The first plan is installed from scratch; later plans go
+        through the incremental engine (plan diffing, per-key
+        rebuilds), which leaves the same index state the from-scratch
+        apply would.  Either way the apply finishes by reconciling the
+        epoch/write-through bookkeeping and the allocated-storage
+        tracker.
         """
-        if self.config.allocation.incremental:
-            report = self._apply_plan_incremental(plan)
-        else:
+        if self.plan is None:
             report = self._apply_plan_full(plan)
+        else:
+            report = self._apply_plan_incremental(plan)
         # Allocation state changed: invalidate any open batch (the
         # batch-contract epoch the pipeline pins per publish_batch).
         self._mutation_epoch += 1
@@ -391,61 +387,27 @@ class MoveSystem(DisseminationSystem):
         return report
 
     def _origin_payloads(self, home_index: InvertedIndex, key: str):
-        """Origin filters of one key in the index's native currency.
+        """Origin filters of one key as slab payloads.
 
-        Returns ``(entries, load)`` where ``entries`` yields
-        ``(filter_id, payload)`` for every origin filter that has at
-        least one indexed term, and ``load(index, payloads)``
-        bulk-indexes the buffered payloads into a subset index.  In
-        object mode the payload is the classic ``(profile,
-        indexed_terms)`` pair; in slab mode it is ``(slot, term_ids)``
-        fed to :meth:`~repro.matching.slab_index.SlabBackedIndex.
-        add_slots`, so rebuilding subset indexes never rehydrates a
-        single ``Filter``.  Both modes skip the same filters and visit
-        holders identically — only the ``moves`` list order (outside
-        the twin-equivalence contract) can differ.
+        Yields ``(filter_id, (slot, term_ids))`` for every origin
+        filter that has at least one indexed term; the buffered
+        payloads feed :meth:`~repro.matching.inverted_index.
+        InvertedIndex.add_slots`, so rebuilding subset indexes never
+        rehydrates a single ``Filter``.
         """
-        aggregate = self.config.allocation.aggregate_per_node
         slab = home_index.slab
-        if slab is not None:
-            if aggregate:
-                slot_entries = home_index.iter_slot_items()
-                origin_ids = set(home_index.posting_term_ids())
-            else:
-                slot_entries = home_index.slot_entries_for_term(key)
-                term_id = slab.interner.lookup(key)
-                origin_ids = {term_id} if term_id is not None else set()
-            term_ids = slab.term_ids
-
-            def entries():
-                for slot, filter_id in slot_entries:
-                    indexed = [
-                        tid for tid in term_ids(slot) if tid in origin_ids
-                    ]
-                    if indexed:
-                        yield filter_id, (slot, indexed)
-
-            def load(index: InvertedIndex, payloads) -> None:
-                index.add_slots(payloads)
-
-            return entries(), load
-        if aggregate:
-            origin_filters = home_index.all_filters()
-            origin_terms = set(home_index.terms())
+        if self.config.allocation.aggregate_per_node:
+            slot_entries = home_index.iter_slot_items()
+            origin_ids = set(home_index.posting_term_ids())
         else:
-            origin_filters, _ = home_index.filters_for_term(key)
-            origin_terms = {key}
-
-        def entries():
-            for profile in origin_filters:
-                indexed_terms = profile.terms & origin_terms
-                if indexed_terms:
-                    yield profile.filter_id, (profile, indexed_terms)
-
-        def load(index: InvertedIndex, payloads) -> None:
-            index.add_filters(payloads)
-
-        return entries(), load
+            slot_entries = home_index.slot_entries_for_term(key)
+            term_id = slab.interner.lookup(key)
+            origin_ids = {term_id} if term_id is not None else set()
+        term_ids = slab.term_ids
+        for slot, filter_id in slot_entries:
+            indexed = [tid for tid in term_ids(slot) if tid in origin_ids]
+            if indexed:
+                yield filter_id, (slot, indexed)
 
     def _apply_plan_full(self, plan: AllocationPlan) -> ReallocationReport:
         """From-scratch apply: discard and rebuild every key."""
@@ -459,21 +421,22 @@ class MoveSystem(DisseminationSystem):
             for row in grid.rows:
                 for node_id in row:
                     subset_indexes[node_id] = self._make_index()
-            origin_entries, load = self._origin_payloads(home_index, key)
             # Buffer per holder, then bulk-index: each posting list is
             # rebuilt with one sort instead of one insert per filter.
             buffers: Dict[str, List] = {
                 node_id: [] for node_id in subset_indexes
             }
             subset_holders = grid.subset_holders()
-            for filter_id, payload in origin_entries:
+            for filter_id, payload in self._origin_payloads(
+                home_index, key
+            ):
                 holders = subset_holders[grid.subset_of(filter_id)]
                 report.replicas_moved += len(holders)
                 for holder in holders:
                     buffers[holder].append(payload)
             for node_id, buffered in buffers.items():
                 if buffered:
-                    load(subset_indexes[node_id], buffered)
+                    subset_indexes[node_id].add_slots(buffered)
             for node_id, index in subset_indexes.items():
                 self._allocated_indexes[node_id][key] = index
         return report
@@ -492,8 +455,6 @@ class MoveSystem(DisseminationSystem):
         ReplicaMove` accounting; *dropped* keys discard their indexes.
         """
         old_plan = self.plan
-        if old_plan is None:
-            return self._apply_plan_full(plan)
         applied_epochs = self._applied_epochs
         churned = {
             key
@@ -572,7 +533,6 @@ class MoveSystem(DisseminationSystem):
         grid = table.grid
         home_id = grid.home_node
         home_index = self._home_indexes[home_id]
-        origin_entries, load = self._origin_payloads(home_index, key)
         subset_holders = grid.subset_holders()
         old_grid = old_table.grid if old_table is not None else None
         old_subset_holders = (
@@ -582,7 +542,7 @@ class MoveSystem(DisseminationSystem):
             node_id: [] for node_id in grid.all_nodes()
         }
         dropped = 0
-        for filter_id, payload in origin_entries:
+        for filter_id, payload in self._origin_payloads(home_index, key):
             holders = subset_holders[grid.subset_of(filter_id)]
             for holder in holders:
                 buffers[holder].append(payload)
@@ -611,7 +571,7 @@ class MoveSystem(DisseminationSystem):
         for node_id, buffered in buffers.items():
             index = self._make_index()
             if buffered:
-                load(index, buffered)
+                index.add_slots(buffered)
             self._allocated_indexes[node_id][key] = index
         return dropped
 
@@ -922,7 +882,6 @@ class MoveSystem(DisseminationSystem):
                     key_epochs[key] = key_epochs.get(key, 0) + 1
                 target_index = self._home_indexes[new_home]
                 for profile in filters:
-                    self._store_filter(new_home, profile)
                     target_index.add_filter(
                         profile, indexed_terms=[term]
                     )

@@ -78,8 +78,8 @@ _UNROUTED = object()
 #: Memoized posting retrieval: (filters, their filter ids, posting
 #: lists touched, posting entries scanned).  ``filters`` is any
 #: sequence/iterable of the posting's filters — boolean paths consume
-#: only the id tuple, and the slab-backed index supplies a lazy
-#: sequence that rehydrates ``Filter`` objects on iteration.
+#: only the id tuple, and the index supplies a lazy sequence that
+#: rehydrates ``Filter`` objects from its slab on iteration.
 Retrieval = Tuple[Sequence[Filter], Tuple[str, ...], int, int]
 
 
@@ -244,8 +244,8 @@ class BatchCaches:
         Callers check ``caches.retrieval.get(key)`` first (keeping the
         hit path a single dict probe) and call this only on a miss.
         The index builds the entry (``InvertedIndex.retrieve_for_term``)
-        so the slab-backed index can hand back filter ids straight from
-        its columns with a lazy filter sequence in slot position —
+        so it can hand back filter ids straight from the slab columns
+        with a lazy filter sequence in the ``filters`` position —
         boolean paths never touch it, threshold paths rehydrate through
         the slab's bounded cache.
         """

@@ -743,7 +743,6 @@ def run_scheme_once(
     seed: int = 0,
     tracer=None,
     register_chunk_size: int = 10_000,
-    filter_storage: Optional[str] = None,
 ) -> ThroughputResult:
     """End-to-end: build cluster + system, register, allocate, run.
 
@@ -777,8 +776,6 @@ def run_scheme_once(
                 placement=placement or config.allocation.placement,
             ),
         )
-    if filter_storage is not None:
-        config = replace(config, filter_storage=filter_storage)
     system = make_system(scheme, cluster, config)
     if tracer is not None:
         system.tracer = tracer

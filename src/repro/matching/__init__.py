@@ -5,11 +5,8 @@ The paper's matching machinery in one place:
 - :mod:`repro.matching.postings` — posting lists (the unit of disk IO
   in the cost model),
 - :mod:`repro.matching.inverted_index` — a local inverted index over
-  registered filters,
-- :mod:`repro.matching.slab_index` — the columnar twin of the index:
-  term-id-keyed postings of slab slots over one shared
-  :class:`~repro.model.slab.FilterSlabStore` (the
-  ``filter_storage="slab"`` memory tier),
+  registered filters: term-id-keyed postings of slots in a columnar
+  :class:`~repro.model.slab.FilterSlabStore`,
 - :mod:`repro.matching.bloom` — the Bloom filter used to prune
   document forwarding (Section V),
 - :mod:`repro.matching.sift` — the SIFT centralized matcher used by the
@@ -23,17 +20,12 @@ The paper's matching machinery in one place:
   dense-slot accumulators, remaining-mass pruning),
 - :mod:`repro.matching.csr_kernel` — the vectorized CSR bulk-matching
   backend behind the same kernel interface (incremental sparse
-  term×filter blocks, whole-block segment-sum scoring; requires
-  numpy, selected via ``SystemConfig.matching_backend``).
+  term×filter blocks, whole-block segment-sum scoring; selected via
+  ``SystemConfig.matching_backend``).
 """
 
 from .bloom import BloomFilter
-from .csr_kernel import (
-    HAVE_NUMPY,
-    CsrAccelerator,
-    CsrPostingBlock,
-    resolve_backend,
-)
+from .csr_kernel import CsrAccelerator, CsrPostingBlock, resolve_backend
 from .home_node import HomeNodeMatcher
 from .inverted_index import InvertedIndex
 from .kernel import DocumentScores, ScoreKernel, ScoringPass
@@ -46,13 +38,11 @@ from .query import (
     parse_query,
 )
 from .sift import SiftMatcher
-from .slab_index import SlabBackedIndex
 from .vsm import VsmScorer
 
 __all__ = [
     "PostingList",
     "InvertedIndex",
-    "SlabBackedIndex",
     "BloomFilter",
     "SiftMatcher",
     "HomeNodeMatcher",
@@ -62,7 +52,6 @@ __all__ = [
     "DocumentScores",
     "CsrAccelerator",
     "CsrPostingBlock",
-    "HAVE_NUMPY",
     "resolve_backend",
     "QueryEngine",
     "QueryError",

@@ -40,11 +40,6 @@ Integration points:
 - per-document numpy state hangs off
   :class:`~repro.matching.kernel.DocumentScores`, so the kernel's
   IDF-epoch / registration-epoch invalidation applies to it unchanged.
-
-NumPy is optional: the module imports with ``np = None`` when it is
-missing, ``resolve_backend("auto")`` falls back to ``"python"``, and
-an explicit ``backend="csr"`` raises a
-:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -57,10 +52,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-try:  # pragma: no cover - exercised via the numpy-hidden CI job
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..model import Document, Filter
@@ -69,9 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.pipeline import BatchCaches
     from .inverted_index import InvertedIndex
     from .kernel import DocumentScores, ScoreKernel
-
-#: Whether the vectorized backend can run in this environment.
-HAVE_NUMPY = np is not None
 
 #: Relative slack applied to the remaining-mass prune (shared with the
 #: python kernel, which imports it from here so the two backends can
@@ -88,10 +77,8 @@ BACKENDS = ("auto", "csr", "python")
 def resolve_backend(name: str) -> str:
     """Resolve a backend request to the concrete backend to run.
 
-    ``"auto"`` picks ``"csr"`` when numpy is importable and
-    ``"python"`` otherwise; an explicit ``"csr"`` without numpy is a
-    configuration error (silently degrading an explicit request would
-    hide a 3x+ throughput regression).
+    ``"auto"`` is the vectorized ``"csr"`` backend; ``"python"``
+    forces the pure-python kernel.
     """
     if name not in BACKENDS:
         raise ConfigurationError(
@@ -99,13 +86,7 @@ def resolve_backend(name: str) -> str:
             f"{BACKENDS}"
         )
     if name == "auto":
-        return "csr" if HAVE_NUMPY else "python"
-    if name == "csr" and not HAVE_NUMPY:
-        raise ConfigurationError(
-            "matching_backend='csr' requires numpy, which is not "
-            "importable in this environment; use 'auto' to fall back "
-            "to the pure-python kernel"
-        )
+        return "csr"
     return name
 
 

@@ -9,15 +9,35 @@ Every node indexes its locally stored filters with an inverted list
 
 Retrieval reports how many lists and entries were touched so the cost
 model can charge the matching latency the paper's equations describe.
+
+Storage is columnar: posting lists are keyed by **interned term-id**
+and hold the filter's **slab slot** (a plain int) in a
+:class:`~repro.model.slab.FilterSlabStore`, never a ``Filter`` object.
+A dissemination system shares one slab across its registration table
+and every index it builds; an index constructed on its own gets a
+private slab.  Consequences:
+
+- which local terms index a slot is answered by probing the slot's
+  slab term-ids against the local postings (``O(|f| log n)``, and
+  ``|f|`` averages 2–3) — no per-filter bookkeeping dicts;
+- every object-returning read (``filters_for_term``, ``all_filters``,
+  the matchers) *rehydrates* through the slab's bounded cache, so the
+  hot boolean pipeline — which consumes only filter-id tuples via
+  :meth:`InvertedIndex.retrieve_for_term` — never materializes a
+  ``Filter`` at all;
+- :meth:`InvertedIndex.add_slots` is the slot-native bulk loader the
+  MOVE reallocation engine feeds directly from home-index postings, so
+  rebuilding a subset index never rehydrates a single filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import MatchingError
 from ..model import Document, Filter
+from ..model.slab import FilterSlabStore
 from .postings import PostingList
 
 
@@ -35,29 +55,72 @@ class RetrievalCost:
         )
 
 
+class _SlabPostingFilters:
+    """Lazy ``Sequence[Filter]`` over a snapshot of posting slots.
+
+    Sits in the ``filters`` position of the pipeline's memoized
+    :data:`~repro.core.pipeline.Retrieval` tuple: boolean any-term
+    paths never touch it, threshold paths iterate it and rehydrate
+    through the slab's bounded cache on demand.
+    """
+
+    __slots__ = ("_slab", "_slots")
+
+    def __init__(self, slab: FilterSlabStore, slots: Tuple[int, ...]) -> None:
+        self._slab = slab
+        self._slots = slots
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __iter__(self) -> Iterator[Filter]:
+        get = self._slab.get
+        for slot in self._slots:
+            yield get(slot)
+
+    def __getitem__(self, index: int) -> Filter:
+        return self._slab.get(self._slots[index])
+
+
+def _indexed_terms(
+    profile: Filter, indexed_terms: Optional[Iterable[str]]
+) -> Iterable[str]:
+    """The terms ``profile`` is indexed under (default: all of them)."""
+    if indexed_terms is None:
+        return profile.terms
+    terms = set(indexed_terms) & profile.terms
+    if not terms:
+        raise MatchingError(
+            f"filter {profile.filter_id!r} indexed under none of its "
+            f"terms"
+        )
+    return terms
+
+
 class InvertedIndex:
-    """Term → posting-list index of :class:`~repro.model.Filter`s.
+    """Term-id → posting list of slab slots.
 
     ``indexed_terms`` restricts which of a filter's terms get posting
     lists: the distributed-inverted-list design (Section III-B) indexes
     only the home term on each node, while the rendezvous baseline
     indexes every term of every local filter.
+
+    ``slab`` is the filter store the slots point into.  Pass the
+    owning system's shared slab (the system then releases slots
+    through its :class:`~repro.model.slab.SlabRegistry` on
+    unregistration); omit it for a standalone index, which owns a
+    private slab and releases a filter's slot when its last local
+    posting goes.
     """
 
-    #: Slab capability marker: the columnar subclass
-    #: (:class:`repro.matching.slab_index.SlabBackedIndex`) sets this to
-    #: its :class:`~repro.model.slab.FilterSlabStore`, letting callers
-    #: pick slot-native paths with one attribute check.
-    slab = None
-
-    def __init__(self) -> None:
-        self._postings: Dict[str, PostingList] = {}
-        self._filters: Dict[int, Filter] = {}
-        self._next_local_id = 0
-        self._local_id_by_filter_id: Dict[str, int] = {}
-        #: Terms each local filter is indexed under *on this node*
-        #: (needed to drop a filter when its last local term moves).
-        self._indexed_terms: Dict[int, Set[str]] = {}
+    def __init__(self, slab: Optional[FilterSlabStore] = None) -> None:
+        self._owns_slab = slab is None
+        self.slab = FilterSlabStore() if slab is None else slab
+        #: Interned term-id -> :class:`PostingList` of slab slots.
+        self._postings: Dict[int, PostingList] = {}
+        #: Distinct filters indexed here, maintained by add/remove
+        #: probes so ``__len__`` stays O(1).
+        self._distinct = 0
         #: Running total of posting entries, maintained on every
         #: add/remove so :meth:`stored_replica_count` is O(1) — the
         #: reallocation engine reads it once per holder per refresh.
@@ -65,22 +128,45 @@ class InvertedIndex:
         #: Mutation listeners (e.g. the CSR posting-block mirrors of
         #: :mod:`repro.matching.csr_kernel`).  Each is notified of
         #: every *effective* posting change — ``posting_added(term,
-        #: local_id, filter)`` / ``posting_removed(term, local_id)`` /
+        #: slot, filter)`` / ``posting_removed(term, slot)`` /
         #: ``term_dropped(term)`` — so derived structures stay exact
         #: without polling.  Usually empty; every notification site is
         #: behind an ``if self._listeners`` guard.
         self._listeners: List[object] = []
 
+    # -- shape -------------------------------------------------------------
+
     def __len__(self) -> int:
         """Number of distinct filters indexed."""
-        return len(self._filters)
+        return self._distinct
 
     def __contains__(self, filter_id: str) -> bool:
-        return filter_id in self._local_id_by_filter_id
+        slot = self.slab.slot_of(filter_id)
+        return slot is not None and self._indexed_anywhere(slot)
 
     @property
     def distinct_terms(self) -> int:
         return len(self._postings)
+
+    def stored_replica_count(self) -> int:
+        """Total posting entries = stored filter replicas on this node.
+
+        One filter indexed under k terms counts k times — this is the
+        storage-cost metric of Figure 9(a).  O(1): the count is
+        maintained incrementally by every mutation.
+        """
+        return self._replica_entries
+
+    def _indexed_anywhere(self, slot: int) -> bool:
+        """Is ``slot`` on any local posting of its slab terms?"""
+        postings = self._postings
+        if not postings:
+            return False
+        for term_id in self.slab.term_ids(slot):
+            plist = postings.get(term_id)
+            if plist is not None and slot in plist:
+                return True
+        return False
 
     def add_listener(self, listener: object) -> None:
         """Subscribe ``listener`` to posting mutations (see above)."""
@@ -93,29 +179,16 @@ class InvertedIndex:
         except ValueError:
             pass
 
-    def iter_term_postings(self):
-        """Yield ``(term, [(local_id, filter), ...])`` per posting list.
-
-        Posting order (ascending local id) is preserved — this is the
-        hydration primitive listeners use to build their initial
-        mirror of the index state.
-        """
-        for term, plist in self._postings.items():
-            yield term, [
-                (local_id, self._filters[local_id])
-                for local_id in plist
-            ]
-
-    def stored_replica_count(self) -> int:
-        """Total posting entries = stored filter replicas on this node.
-
-        One filter indexed under k terms counts k times — this is the
-        storage-cost metric of Figure 9(a).  O(1): the count is
-        maintained incrementally by every mutation.
-        """
-        return self._replica_entries
-
     # -- registration -----------------------------------------------------
+
+    def _posting(self, term_id: int, term: Optional[str] = None) -> PostingList:
+        plist = self._postings.get(term_id)
+        if plist is None:
+            if term is None:
+                term = self.slab.interner.term(term_id)
+            plist = PostingList(term)
+            self._postings[term_id] = plist
+        return plist
 
     def add_filter(
         self,
@@ -124,42 +197,26 @@ class InvertedIndex:
     ) -> int:
         """Index ``profile`` under ``indexed_terms`` (default: all its
         terms).  Re-adding an existing filter extends its indexed terms.
-        Returns the local integer id."""
-        local_id = self._local_id_by_filter_id.get(profile.filter_id)
-        if local_id is None:
-            local_id = self._next_local_id
-            self._next_local_id += 1
-            self._local_id_by_filter_id[profile.filter_id] = local_id
-            self._filters[local_id] = profile
-        terms = (
-            profile.terms
-            if indexed_terms is None
-            else set(indexed_terms) & profile.terms
-        )
-        if indexed_terms is not None and not terms:
-            raise MatchingError(
-                f"filter {profile.filter_id!r} indexed under none of its "
-                f"terms"
-            )
-        local_terms = self._indexed_terms.setdefault(local_id, set())
+        Returns its slab slot (the posting id)."""
+        terms = _indexed_terms(profile, indexed_terms)
+        slot = self.slab.add(profile)
+        known = self._indexed_anywhere(slot)
+        intern = self.slab.interner.intern
+        listeners = self._listeners
         for term in terms:
-            plist = self._postings.get(term)
-            if plist is None:
-                plist = PostingList(term)
-                self._postings[term] = plist
-            if plist.add(local_id):
+            plist = self._posting(intern(term), term)
+            if plist.add(slot):
                 self._replica_entries += 1
-                if self._listeners:
-                    for listener in self._listeners:
-                        listener.posting_added(term, local_id, profile)
-            local_terms.add(term)
-        return local_id
+                if listeners:
+                    for listener in listeners:
+                        listener.posting_added(term, slot, profile)
+        if not known:
+            self._distinct += 1
+        return slot
 
     def add_filters(
         self,
-        entries: Iterable[
-            Tuple[Filter, Optional[Iterable[str]]]
-        ],
+        entries: Iterable[Tuple[Filter, Optional[Iterable[str]]]],
     ) -> int:
         """Bulk-index ``(profile, indexed_terms)`` pairs.
 
@@ -170,68 +227,113 @@ class InvertedIndex:
         :meth:`add_filter` once per pair.  Returns the number of
         posting entries added.
         """
-        per_term: Dict[str, List[int]] = {}
+        per_term: Dict[int, Tuple[str, List[int]]] = {}
+        new_slots: Set[int] = set()
+        profiles: Optional[Dict[int, Filter]] = (
+            {} if self._listeners else None
+        )
+        intern = self.slab.interner.intern
         for profile, indexed_terms in entries:
-            local_id = self._local_id_by_filter_id.get(profile.filter_id)
-            if local_id is None:
-                local_id = self._next_local_id
-                self._next_local_id += 1
-                self._local_id_by_filter_id[profile.filter_id] = local_id
-                self._filters[local_id] = profile
-            terms = (
-                profile.terms
-                if indexed_terms is None
-                else set(indexed_terms) & profile.terms
-            )
-            if indexed_terms is not None and not terms:
-                raise MatchingError(
-                    f"filter {profile.filter_id!r} indexed under none of "
-                    f"its terms"
-                )
-            local_terms = self._indexed_terms.setdefault(local_id, set())
+            terms = _indexed_terms(profile, indexed_terms)
+            slot = self.slab.add(profile)
+            if slot not in new_slots and not self._indexed_anywhere(slot):
+                new_slots.add(slot)
+            if profiles is not None:
+                profiles[slot] = profile
             for term in terms:
-                per_term.setdefault(term, []).append(local_id)
-                local_terms.add(term)
+                term_id = intern(term)
+                bucket = per_term.get(term_id)
+                if bucket is None:
+                    bucket = (term, [])
+                    per_term[term_id] = bucket
+                bucket[1].append(slot)
         added = 0
-        for term, local_ids in per_term.items():
-            plist = self._postings.get(term)
-            if plist is None:
-                plist = PostingList(term)
-                self._postings[term] = plist
+        for term_id, (term, slots) in per_term.items():
+            plist = self._posting(term_id, term)
             if self._listeners:
-                # Per-id inserts so each effective add is observable;
+                # Per-slot inserts so each effective add is observable;
                 # final posting state is identical to ``add_many``.
-                for local_id in local_ids:
-                    if plist.add(local_id):
+                for slot in slots:
+                    if plist.add(slot):
                         added += 1
                         for listener in self._listeners:
                             listener.posting_added(
-                                term, local_id, self._filters[local_id]
+                                term, slot, profiles[slot]
                             )
             else:
-                added += plist.add_many(local_ids)
+                added += plist.add_many(slots)
         self._replica_entries += added
+        self._distinct += len(new_slots)
+        return added
+
+    def add_slots(
+        self,
+        entries: Iterable[Tuple[int, Optional[Iterable[int]]]],
+    ) -> int:
+        """Slot-native bulk load: ``(slot, indexed term-ids)`` pairs.
+
+        The reallocation fast path — subset indexes are rebuilt
+        straight from home-index postings of the same slab without
+        rehydrating any ``Filter``.  ``None`` term-ids index the slot
+        under all of its slab terms.  Listener notifications rehydrate
+        lazily (the CSR mirrors are only attached to matcher-facing
+        indexes).
+        """
+        per_term: Dict[int, List[int]] = {}
+        new_slots: Set[int] = set()
+        for slot, term_ids in entries:
+            if term_ids is None:
+                term_ids = self.slab.term_ids(slot)
+            if slot not in new_slots and not self._indexed_anywhere(slot):
+                new_slots.add(slot)
+            for term_id in term_ids:
+                per_term.setdefault(term_id, []).append(slot)
+        added = 0
+        term_of = self.slab.interner.term
+        for term_id, slots in per_term.items():
+            plist = self._posting(term_id)
+            if self._listeners:
+                term = term_of(term_id)
+                for slot in slots:
+                    if plist.add(slot):
+                        added += 1
+                        for listener in self._listeners:
+                            listener.posting_added(
+                                term, slot, self.slab.get(slot)
+                            )
+            else:
+                added += plist.add_many(slots)
+        self._replica_entries += added
+        self._distinct += len(new_slots)
         return added
 
     def remove_filter(self, filter_id: str) -> bool:
         """Unregister a filter everywhere it is indexed."""
-        local_id = self._local_id_by_filter_id.pop(filter_id, None)
-        if local_id is None:
+        slot = self.slab.slot_of(filter_id)
+        if slot is None:
             return False
-        profile = self._filters.pop(local_id)
-        self._indexed_terms.pop(local_id, None)
-        for term in profile.terms:
-            plist = self._postings.get(term)
+        removed = False
+        postings = self._postings
+        listeners = self._listeners
+        term_of = self.slab.interner.term
+        for term_id in self.slab.term_ids(slot):
+            plist = postings.get(term_id)
             if plist is None:
                 continue
-            if plist.remove(local_id):
+            if plist.remove(slot):
+                removed = True
                 self._replica_entries -= 1
-                if self._listeners:
-                    for listener in self._listeners:
-                        listener.posting_removed(term, local_id)
+                if listeners:
+                    term = term_of(term_id)
+                    for listener in listeners:
+                        listener.posting_removed(term, slot)
             if not plist:
-                del self._postings[term]
-        return True
+                del postings[term_id]
+        if removed:
+            self._distinct -= 1
+            if self._owns_slab:
+                self.slab.release(filter_id)
+        return removed
 
     def remove_term(self, term: str) -> List[Filter]:
         """Drop the posting list of ``term`` and return its filters.
@@ -241,7 +343,12 @@ class InvertedIndex:
         terms stay.  This is the primitive a home-node hand-off uses
         when ring membership changes move a term's ownership.
         """
-        plist = self._postings.pop(term, None)
+        term_id = self.slab.interner.lookup(term)
+        plist = (
+            self._postings.pop(term_id, None)
+            if term_id is not None
+            else None
+        )
         if plist is None:
             return []
         self._replica_entries -= len(plist)
@@ -249,33 +356,32 @@ class InvertedIndex:
             for listener in self._listeners:
                 listener.term_dropped(term)
         moved: List[Filter] = []
-        for local_id in plist:
-            profile = self._filters[local_id]
+        for slot in plist:
+            profile = self.slab.get(slot)
             moved.append(profile)
-            local_terms = self._indexed_terms.get(local_id)
-            if local_terms is not None:
-                local_terms.discard(term)
-                if local_terms:
-                    continue  # still indexed under another local term
-            del self._filters[local_id]
-            del self._local_id_by_filter_id[profile.filter_id]
-            self._indexed_terms.pop(local_id, None)
+            if not self._indexed_anywhere(slot):
+                self._distinct -= 1
+                if self._owns_slab:
+                    self.slab.release(profile.filter_id)
         return moved
 
     # -- retrieval ----------------------------------------------------------
 
     def posting_list(self, term: str) -> Optional[PostingList]:
-        return self._postings.get(term)
+        term_id = self.slab.interner.lookup(term)
+        if term_id is None:
+            return None
+        return self._postings.get(term_id)
 
     def filters_for_term(
         self, term: str
     ) -> Tuple[List[Filter], RetrievalCost]:
         """Home-node retrieval: one posting list, its filters."""
-        plist = self._postings.get(term)
+        plist = self.posting_list(term)
         if plist is None:
             return [], RetrievalCost(0, 0)
-        filters = [self._filters[local_id] for local_id in plist]
-        return filters, RetrievalCost(1, len(plist))
+        get = self.slab.get
+        return [get(slot) for slot in plist], RetrievalCost(1, len(plist))
 
     def retrieve_for_term(self, term: str):
         """One posting retrieval in the pipeline's memo shape.
@@ -283,20 +389,20 @@ class InvertedIndex:
         Returns ``(filters, filter_ids, posting_lists,
         posting_entries)`` — the :data:`repro.core.pipeline.Retrieval`
         tuple.  The boolean any-term paths consume only the id tuple;
-        ``filters`` may therefore be any iterable of the posting's
-        filters, which is what lets the slab subclass return a lazy
-        sequence that rehydrates objects only when threshold semantics
-        actually iterate it.
+        ``filters`` is a lazy sequence that rehydrates objects only
+        when threshold semantics actually iterate it.
         """
-        plist = self._postings.get(term)
+        plist = self.posting_list(term)
         if plist is None:
             return [], (), 0, 0
-        filters = [self._filters[local_id] for local_id in plist]
+        slab = self.slab
+        slots = plist.ids()
+        filter_id = slab.filter_id
         return (
-            filters,
-            tuple(profile.filter_id for profile in filters),
+            _SlabPostingFilters(slab, slots),
+            tuple(filter_id(slot) for slot in slots),
             1,
-            len(plist),
+            len(slots),
         )
 
     def match_document_single_term(
@@ -323,22 +429,66 @@ class InvertedIndex:
         Returns the de-duplicated matching filters and the total disk
         work (each present term costs one list retrieval).
         """
-        matched: Dict[int, Filter] = {}
+        lookup = self.slab.interner.lookup
+        postings = self._postings
+        seen: Set[int] = set()
+        ordered: List[int] = []
         lists = 0
         entries = 0
         for term in document.terms:
-            plist = self._postings.get(term)
+            term_id = lookup(term)
+            plist = postings.get(term_id) if term_id is not None else None
             if plist is None:
                 continue
             lists += 1
             entries += len(plist)
-            for local_id in plist:
-                if local_id not in matched:
-                    matched[local_id] = self._filters[local_id]
-        return list(matched.values()), RetrievalCost(lists, entries)
+            for slot in plist:
+                if slot not in seen:
+                    seen.add(slot)
+                    ordered.append(slot)
+        get = self.slab.get
+        return [get(slot) for slot in ordered], RetrievalCost(lists, entries)
+
+    # -- enumeration --------------------------------------------------------
+
+    def iter_term_postings(self):
+        """Yield ``(term, [(slot, filter), ...])`` per posting list.
+
+        Posting order (ascending slot) is preserved — this is the
+        hydration primitive listeners use to build their initial
+        mirror of the index state.
+        """
+        term_of = self.slab.interner.term
+        get = self.slab.get
+        for term_id, plist in self._postings.items():
+            yield term_of(term_id), [(slot, get(slot)) for slot in plist]
+
+    def iter_slot_items(self) -> Iterator[Tuple[int, str]]:
+        """Distinct ``(slot, filter_id)`` pairs, posting-walk order."""
+        seen: Set[int] = set()
+        filter_id = self.slab.filter_id
+        for plist in self._postings.values():
+            for slot in plist:
+                if slot not in seen:
+                    seen.add(slot)
+                    yield slot, filter_id(slot)
+
+    def slot_entries_for_term(self, term: str) -> List[Tuple[int, str]]:
+        """``(slot, filter_id)`` of one posting (reallocation origin)."""
+        plist = self.posting_list(term)
+        if plist is None:
+            return []
+        filter_id = self.slab.filter_id
+        return [(slot, filter_id(slot)) for slot in plist]
+
+    def posting_term_ids(self) -> Iterator[int]:
+        """Term-ids with a live posting list here (insertion order)."""
+        return iter(self._postings)
 
     def all_filters(self) -> List[Filter]:
-        return list(self._filters.values())
+        get = self.slab.get
+        return [get(slot) for slot, _fid in self.iter_slot_items()]
 
     def terms(self) -> List[str]:
-        return sorted(self._postings)
+        term_of = self.slab.interner.term
+        return sorted(term_of(term_id) for term_id in self._postings)

@@ -237,7 +237,7 @@ class ScoreKernel:
     ``backend`` selects the scoring engine behind the same interface:
     ``"python"`` (the array('d') accumulators below), ``"csr"`` (the
     vectorized block engine of :mod:`repro.matching.csr_kernel`), or
-    ``"auto"`` (csr when numpy is importable).  Both backends produce
+    ``"auto"`` (the same as ``"csr"``).  Both backends produce
     bit-identical scores; the equivalence suite runs the full matrix.
     """
 

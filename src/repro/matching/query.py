@@ -9,7 +9,7 @@ subscriptions.
 
 New code should prefer ``system.subscribe(["storm AND flood"])`` —
 the system evaluates predicates at the delivery boundary itself, on
-every scheme, backend, and storage mode.  :class:`QueryEngine` remains
+every scheme and backend.  :class:`QueryEngine` remains
 as the client-side post-filtering formulation of the same idea.
 """
 

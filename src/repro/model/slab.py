@@ -15,23 +15,23 @@ plain integer slots:
   *rehydrated* from the columns only at delivery boundaries, through a
   small bounded cache.
 - :class:`SlabRegistry` — a ``MutableMapping`` view over the slab that
-  lets :class:`~repro.baselines.base.DisseminationSystem` use the slab
-  as its registration table without code changes: assignment interns
-  into the slab, lookup rehydrates lazily.
+  :class:`~repro.baselines.base.DisseminationSystem` uses as its
+  registration table: assignment interns into the slab, lookup
+  rehydrates lazily.
 
-Equivalence contract: a rehydrated filter compares ``==`` to the
+Rehydration contract: a rehydrated filter compares ``==`` to the
 originally registered one (same id, same term set, same owner) and its
-``term_ids`` re-intern to the same ids, so slab-backed systems are
-bit-identical to object-backed twins in match sets, RNG streams, and
-stored replica counts (``tests/test_slab_store.py`` runs the twin
-matrix over all four schemes).
+``term_ids`` re-intern to the same ids.  This is what kept slab-backed
+systems bit-identical — match sets, RNG streams, stored replica
+counts — to the per-object layout they replaced.
 
 Slots are reused: ``release`` puts a slot on a free list and the next
 ``add`` claims it, so long-lived churny systems don't grow without
 bound; ``epoch`` bumps on every mutation so downstream caches (and the
 hydration cache itself) can never serve a stale rebinding.  Term-id
 cells abandoned by released slots are tracked as ``dead_term_cells``
-and reclaimed by :meth:`FilterSlabStore.compact`.
+and reclaimed by :meth:`FilterSlabStore.compact`, which ``release``
+runs by itself once dead cells outnumber live ones.
 """
 
 from __future__ import annotations
@@ -61,6 +61,12 @@ _UNPARSED = object()
 
 #: Default bound on the rehydration cache (delivery working set).
 DEFAULT_HYDRATION_CACHE = 4096
+
+#: ``release`` compacts the term-id buffer once its dead cells exceed
+#: both this floor and the live cells, so churn costs amortized O(1)
+#: per release and the buffer never grows past twice its live cells
+#: plus this floor.
+COMPACT_MIN_DEAD_CELLS = 4096
 
 #: CPython overhead estimate for one short str object (header + ascii).
 _STR_OVERHEAD = 49
@@ -203,8 +209,10 @@ class FilterSlabStore:
         """Free the filter's slot (returned for listeners/tests).
 
         The slot goes on the free list and its term-id cells become
-        dead until :meth:`compact`; raises ``KeyError`` for unknown
-        ids so the registry view keeps dict semantics.
+        dead until :meth:`compact` (run here once dead cells exceed
+        both :data:`COMPACT_MIN_DEAD_CELLS` and the live cells);
+        raises ``KeyError`` for unknown ids so the registry view keeps
+        dict semantics.
         """
         slot = self._slot_of.pop(filter_id)
         self._dead_cells += self._lengths[slot]
@@ -218,6 +226,9 @@ class FilterSlabStore:
         self._free.append(slot)
         self._id_bytes -= len(filter_id) + _STR_OVERHEAD
         self._epoch += 1
+        dead = self._dead_cells
+        if dead > COMPACT_MIN_DEAD_CELLS and dead > len(self._term_ids) - dead:
+            self.compact()
         return slot
 
     def compact(self) -> int:

@@ -155,6 +155,8 @@ class JournaledSystem:
         self.recovered_from_snapshot_lsn: Optional[int] = None
         #: Snapshot files recovery tried and rejected as unreadable.
         self.snapshots_skipped = 0
+        #: Why each of them was rejected (newest file first).
+        self.snapshot_skip_reasons: List[str] = []
         #: Checkpoint accounting, updated by :meth:`checkpoint`.
         self.checkpoints = 0
         self.last_checkpoint_lsn = 0
@@ -229,14 +231,15 @@ class JournaledSystem:
             try:
                 lsn, payload = load_snapshot(path)
                 setup, system = pickle.loads(payload)
-            except SnapshotError:
-                self.snapshots_skipped += 1
+            except SnapshotError as error:
+                self._skip_snapshot(str(error))
                 continue
-            except Exception:
-                # CRC passed but the pickle won't load (e.g. state
-                # written by an incompatible code version) — same
+            except Exception as error:
+                # CRC passed but the pickle won't load — same
                 # treatment as damage: try the next older snapshot.
-                self.snapshots_skipped += 1
+                self._skip_snapshot(
+                    f"{path.name}: payload does not unpickle ({error!r})"
+                )
                 continue
             self.setup = setup
             self.system = system
@@ -249,6 +252,10 @@ class JournaledSystem:
             self._replay_tail(reader, after=lsn)
             return True
         return False
+
+    def _skip_snapshot(self, reason: str) -> None:
+        self.snapshots_skipped += 1
+        self.snapshot_skip_reasons.append(reason)
 
     def _recover_full(self, reader: WalReader) -> bool:
         records = iter(reader.replay())

@@ -7,11 +7,16 @@ lsn.  Recovery boots from the newest loadable snapshot and replays
 only the WAL tail above its lsn, which is what turns recovery time
 from O(history) into O(since-last-checkpoint).
 
+The pickle names the classes it holds, so the header carries a format
+number that changes whenever they change shape: a snapshot of another
+format is refused by name instead of being unpickled into objects
+this build's code does not expect.
+
 File format
 -----------
 ``snapshot-<lsn:016d>.snap`` containing::
 
-    <8-byte magic "MVSNAP1\\n">
+    <8-byte magic "MVSNAP" + format digit + "\\n">
     <lsn u64 LE> <payload length u32 LE> <crc u32 LE>
     <payload bytes>
 
@@ -20,6 +25,9 @@ WAL frame), so a header and body written by different attempts cannot
 verify.  Writes go through a temp file + fsync + atomic rename +
 directory fsync: a crash mid-write leaves a ``.tmp`` orphan, never a
 half-valid ``.snap``.
+
+Format history: 1 — filters as per-object ``InvertedIndex`` dicts;
+2 — filters in the columnar slab, postings of slab slots.
 
 Any validation failure loads as :class:`~repro.errors.SnapshotError`;
 callers treat that snapshot as nonexistent and fall back to the next
@@ -36,7 +44,10 @@ from typing import List, Tuple, Union
 
 from ..errors import SnapshotError
 
-_MAGIC = b"MVSNAP1\n"
+#: Snapshot format this build writes and reads (see the module doc).
+FORMAT = 2
+_MAGIC_PREFIX = b"MVSNAP"
+_MAGIC = _MAGIC_PREFIX + str(FORMAT).encode() + b"\n"
 _HEADER = struct.Struct("<QII")
 _NAME_FMT = "snapshot-{lsn:016d}.snap"
 _NAME_GLOB = "snapshot-*.snap"
@@ -86,14 +97,28 @@ def load_snapshot(path: Union[str, Path]) -> Tuple[int, bytes]:
 
     Raises :class:`SnapshotError` on any damage — wrong magic,
     truncation, CRC mismatch, or a header lsn that disagrees with the
-    file name (a rename aimed at the wrong target).
+    file name (a rename aimed at the wrong target) — and on a
+    snapshot of another format, naming both formats.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise SnapshotError(f"{path.name}: unreadable ({exc})") from exc
-    if not data.startswith(_MAGIC):
+    magic = data[: len(_MAGIC)]
+    if magic != _MAGIC:
+        digit = magic[len(_MAGIC_PREFIX) : -1]
+        if (
+            magic.startswith(_MAGIC_PREFIX)
+            and magic.endswith(b"\n")
+            and digit.isdigit()
+        ):
+            found = int(digit)
+            written_by = "an older" if found < FORMAT else "a newer"
+            raise SnapshotError(
+                f"{path.name}: snapshot format {found} was written by "
+                f"{written_by} build; this build reads format {FORMAT}"
+            )
         raise SnapshotError(f"{path.name}: bad magic")
     header_end = len(_MAGIC) + _HEADER.size
     if len(data) < header_end:

@@ -20,15 +20,11 @@ vocabularies).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via the numpy-hidden CI job
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..errors import WorkloadError
 from ..model import Filter
@@ -66,14 +62,7 @@ class MsnTraceProfile:
         tail_mass = 1.0 - c3
         best: Optional[List[float]] = None
         best_error = float("inf")
-        if np is None:
-            step = (3.0 - 0.05) / 295
-            ratios = [0.05 + i * step for i in range(296)]
-        else:
-            # Kept on numpy when available: linspace's endpoint
-            # handling reproduces the historical fitted ratios bit
-            # for bit.
-            ratios = np.linspace(0.05, 3.0, 296)
+        ratios = np.linspace(0.05, 3.0, 296)
         for ratio in ratios:
             weights = [ratio**i for i in range(max_length - 3)]
             scale = tail_mass / sum(weights)
@@ -173,11 +162,7 @@ class FilterTraceGenerator:
         self._length_probabilities = profile.length_distribution(
             max_query_length
         )
-        self._length_cdf = (
-            list(itertools.accumulate(self._length_probabilities))
-            if np is None
-            else np.cumsum(self._length_probabilities)
-        )
+        self._length_cdf = np.cumsum(self._length_probabilities)
 
     def _sample_length(self) -> int:
         u = self._rng.random()

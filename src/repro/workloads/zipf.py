@@ -12,10 +12,7 @@ import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via the numpy-hidden CI job
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..errors import WorkloadError
 
@@ -24,10 +21,8 @@ def zipf_weights(size: int, exponent: float, shift: float = 0.0):
     """Zipf–Mandelbrot weights ``w_r = 1 / (r + shift)^exponent``.
 
     ``exponent`` controls the skew: higher → skewer (lower entropy).
-    Weights are normalized to sum to 1.  Returns an ``np.ndarray``
-    when numpy is importable, a plain list otherwise (the numpy branch
-    is kept bit-identical to the historical behavior so seeded
-    corpora reproduce exactly).
+    Weights are normalized to sum to 1 and returned as an
+    ``np.ndarray``.
     """
     if size < 1:
         raise WorkloadError(f"size must be >= 1, got {size}")
@@ -35,24 +30,13 @@ def zipf_weights(size: int, exponent: float, shift: float = 0.0):
         raise WorkloadError(f"exponent must be >= 0, got {exponent}")
     if shift < 0:
         raise WorkloadError(f"shift must be >= 0, got {shift}")
-    if np is None:
-        raw = [
-            1.0 / (rank + shift) ** exponent
-            for rank in range(1, size + 1)
-        ]
-        total = sum(raw)
-        return [weight / total for weight in raw]
     ranks = np.arange(1, size + 1, dtype=np.float64)
     weights = 1.0 / np.power(ranks + shift, exponent)
     return weights / weights.sum()
 
 
 def _entropy_bits(weights) -> float:
-    """Entropy (bits) of a weight vector, either backend."""
-    if np is None:
-        return -sum(
-            weight * math.log2(weight) for weight in weights if weight > 0
-        )
+    """Entropy (bits) of a weight vector."""
     weights = np.asarray(weights)
     weights = weights[weights > 0]
     return float(-(weights * np.log2(weights)).sum())
@@ -62,41 +46,19 @@ class AliasTable:
     """Walker alias method: O(n) build, O(1) sampling."""
 
     def __init__(self, weights: Sequence[float]) -> None:
-        if np is None:
-            # Pure-python fallback: same O(n) build over lists.  The
-            # numpy branch below is kept verbatim for bit-identical
-            # seeded corpora when numpy is present.
-            probabilities = [float(weight) for weight in weights]
-            if not probabilities:
-                raise WorkloadError(
-                    "weights must be a non-empty 1-D vector"
-                )
-            if any(p < 0 for p in probabilities):
-                raise WorkloadError("weights must be non-negative")
-            total = sum(probabilities)
-            if total <= 0:
-                raise WorkloadError("weights must not all be zero")
-            probabilities = [p / total for p in probabilities]
-            n = len(probabilities)
-            scaled = [p * n for p in probabilities]
-            self._prob = [0.0] * n
-            self._alias = [0] * n
-        else:
-            probabilities = np.asarray(weights, dtype=np.float64)
-            if probabilities.ndim != 1 or len(probabilities) == 0:
-                raise WorkloadError(
-                    "weights must be a non-empty 1-D vector"
-                )
-            if np.any(probabilities < 0):
-                raise WorkloadError("weights must be non-negative")
-            total = probabilities.sum()
-            if total <= 0:
-                raise WorkloadError("weights must not all be zero")
-            probabilities = probabilities / total
-            n = len(probabilities)
-            scaled = probabilities * n
-            self._prob = np.zeros(n, dtype=np.float64)
-            self._alias = np.zeros(n, dtype=np.int64)
+        probabilities = np.asarray(weights, dtype=np.float64)
+        if probabilities.ndim != 1 or len(probabilities) == 0:
+            raise WorkloadError("weights must be a non-empty 1-D vector")
+        if np.any(probabilities < 0):
+            raise WorkloadError("weights must be non-negative")
+        total = probabilities.sum()
+        if total <= 0:
+            raise WorkloadError("weights must not all be zero")
+        probabilities = probabilities / total
+        n = len(probabilities)
+        scaled = probabilities * n
+        self._prob = np.zeros(n, dtype=np.float64)
+        self._alias = np.zeros(n, dtype=np.int64)
         small = [i for i in range(n) if scaled[i] < 1.0]
         large = [i for i in range(n) if scaled[i] >= 1.0]
         while small and large:

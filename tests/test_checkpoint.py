@@ -20,6 +20,7 @@ from repro.errors import SnapshotError, WalCorruptionError, WalError
 from repro.model import Document
 from repro.serve.journal import JournaledSystem
 from repro.serve.snapshot import (
+    _MAGIC,
     list_snapshots,
     load_snapshot,
     prune_snapshots,
@@ -59,7 +60,7 @@ def test_snapshot_rejects_damage(tmp_path):
     path.write_bytes(b"not a snapshot at all")
     with pytest.raises(SnapshotError, match="bad magic"):
         load_snapshot(path)
-    path.write_bytes(b"MVSNAP1\n\x00")
+    path.write_bytes(_MAGIC + b"\x00")
     with pytest.raises(SnapshotError, match="truncated header"):
         load_snapshot(path)
 
@@ -181,7 +182,7 @@ def _checkpoint_steps(journal, tmp_path, *, stop_after: str):
     if stop_after == "pickle":
         # Crash mid-snapshot-write: only a torn .tmp ever exists.
         tmp = tmp_path / f"snapshot-{lsn:016d}.tmp"
-        tmp.write_bytes(b"MVSNAP1\n" + payload[: len(payload) // 2])
+        tmp.write_bytes(_MAGIC + payload[: len(payload) // 2])
         return lsn
     write_snapshot(tmp_path, lsn, payload)
     if stop_after == "snapshot":
@@ -248,6 +249,73 @@ def test_corrupt_newest_snapshot_falls_back_to_older_plus_tail(
     _apply(twin, ops)
     _assert_bit_identical(recovered.system, twin)
     recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# Snapshots written by an older build
+# ---------------------------------------------------------------------------
+
+#: What ``load_snapshot`` says about a format-1 file.
+_FORMAT_1_REFUSAL = (
+    "snapshot format 1 was written by an older build; "
+    "this build reads format 2"
+)
+
+
+def _as_format_1(path):
+    """Rewrite a snapshot's header as format 1, leaving the framed
+    lsn, length, CRC and pickle intact — a file an older build would
+    have loaded (and this one must not)."""
+    path.write_bytes(b"MVSNAP1\n" + path.read_bytes()[len(_MAGIC):])
+
+
+def test_format_1_snapshot_is_refused_by_name(tmp_path):
+    path = write_snapshot(tmp_path, 7, b"payload")
+    _as_format_1(path)
+    with pytest.raises(SnapshotError) as refused:
+        load_snapshot(path)
+    assert str(refused.value) == f"{path.name}: {_FORMAT_1_REFUSAL}"
+    path.write_bytes(b"MVSNAP9\n" + path.read_bytes()[len(_MAGIC):])
+    with pytest.raises(SnapshotError, match="format 9 was written by a newer"):
+        load_snapshot(path)
+
+
+def test_format_1_snapshot_with_full_wal_recovers_by_replay(tmp_path):
+    """An old-format snapshot over an untruncated WAL: skipped with its
+    reason, and full replay reaches the uncrashed twin's state."""
+    seed = 6
+    ops = _make_ops(seed, count=24)
+    journal = _journal(tmp_path, seed=seed)
+    _apply(journal, ops[:14])
+    journal._writer.sync()
+    # A committed snapshot whose checkpoint never truncated the WAL
+    # (the crash-matrix "snapshot" cut point), rewritten as format 1.
+    snapshot = write_snapshot(
+        tmp_path, journal.last_applied_lsn, journal._pickle_state()
+    )
+    _as_format_1(snapshot)
+    _apply(journal, ops[14:])
+    recovered = JournaledSystem(tmp_path)
+    assert recovered.snapshots_skipped == 1
+    assert recovered.snapshot_skip_reasons == [
+        f"{snapshot.name}: {_FORMAT_1_REFUSAL}"
+    ]
+    assert recovered.recovered_from_snapshot_lsn is None
+    twin = _twin(seed)
+    _apply(twin, ops)
+    _assert_bit_identical(recovered.system, twin)
+    recovered.close()
+
+
+def test_format_1_snapshot_over_truncated_wal_refuses_to_boot(tmp_path):
+    journal = _journal(tmp_path, seed=1)
+    _apply(journal, _make_ops(1, count=12))
+    journal.checkpoint()  # truncates every segment below the snapshot
+    journal.close()
+    (snapshot,) = list_snapshots(tmp_path)
+    _as_format_1(snapshot)
+    with pytest.raises(WalError, match="truncated journal"):
+        JournaledSystem(tmp_path)
 
 
 def test_truncated_journal_without_snapshot_fails_loud(tmp_path):

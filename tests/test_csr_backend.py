@@ -4,7 +4,7 @@ The bit-exactness of CSR *scores* is covered by the backend-
 parametrized equivalence matrix (``test_kernel_equivalence.py``);
 this module tests the machinery around the scores:
 
-- backend resolution (``auto`` / explicit / missing-numpy errors) and
+- backend resolution (``auto`` / explicit / unknown names) and
   the ``SystemConfig.matching_backend`` validation,
 - the structural invariant of :class:`CsrPostingBlock`: after any
   random interleaving of ``add_filter`` / ``remove_filter`` /
@@ -30,21 +30,14 @@ from repro.experiments.harness import (
     make_system,
 )
 from repro.matching import (
-    HAVE_NUMPY,
     CsrPostingBlock,
     InvertedIndex,
     ScoreKernel,
     resolve_backend,
 )
-from repro.matching import csr_kernel as csr_module
 from repro.matching.vsm import VsmScorer
 from repro.model import Document, Filter
 from repro.obs import Tracer
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized backend requires numpy"
-)
-
 
 # ---------------------------------------------------------------------------
 # Backend resolution and config validation
@@ -55,23 +48,13 @@ def test_resolve_backend_python_is_always_available():
     assert resolve_backend("python") == "python"
 
 
-def test_resolve_backend_auto_tracks_numpy_availability():
-    assert resolve_backend("auto") == (
-        "csr" if HAVE_NUMPY else "python"
-    )
+def test_resolve_backend_auto_is_csr():
+    assert resolve_backend("auto") == "csr"
 
 
 def test_resolve_backend_rejects_unknown_names():
     with pytest.raises(ConfigurationError):
         resolve_backend("cuda")
-
-
-def test_resolve_backend_without_numpy(monkeypatch):
-    """auto degrades silently; an explicit csr request must not."""
-    monkeypatch.setattr(csr_module, "HAVE_NUMPY", False)
-    assert csr_module.resolve_backend("auto") == "python"
-    with pytest.raises(ConfigurationError):
-        csr_module.resolve_backend("csr")
 
 
 def test_config_validates_matching_backend():
@@ -82,7 +65,7 @@ def test_config_validates_matching_backend():
 
 def test_kernel_reports_resolved_backend():
     kernel = ScoreKernel(VsmScorer(), threshold=0.5, backend="auto")
-    assert kernel.backend == ("csr" if HAVE_NUMPY else "python")
+    assert kernel.backend == "csr"
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +91,6 @@ def _assert_block_matches_rebuild(kernel, index, block):
     assert sorted(block.snapshot()) == sorted(index.terms())
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_csr_block_survives_random_mutation_interleavings(seed):
     rng = random.Random(seed)
@@ -144,7 +126,6 @@ def test_csr_block_survives_random_mutation_interleavings(seed):
     _assert_block_matches_rebuild(kernel, index, block)
 
 
-@needs_numpy
 def test_csr_block_reflects_filter_rebinding():
     """Re-registering a filter id with new terms re-slots its postings
     (same dense slot, new rows) once the index is re-populated."""
@@ -164,7 +145,6 @@ def test_csr_block_reflects_filter_rebinding():
     _assert_block_matches_rebuild(kernel, index, block)
 
 
-@needs_numpy
 def test_csr_block_drops_empty_rows():
     """Rows vanish with their posting lists, so ``len(block)`` mirrors
     the index's distinct term count at all times."""
@@ -200,7 +180,6 @@ def _walk_reference(kernel, document, index):
     return scoring.matched(), lists, entries
 
 
-@needs_numpy
 def test_bulk_match_equals_python_walk():
     bundle = ScaledWorkload(
         num_filters=400, num_documents=30, seed=5
@@ -233,7 +212,6 @@ def test_bulk_match_is_none_on_python_backend():
     assert kernel.bulk_match(document, index) is None
 
 
-@needs_numpy
 def test_bulk_match_counts_costs_for_unscored_terms():
     """A posting row whose term carries no document weight still costs
     its list + entries — mirroring the python walk, which pays the
@@ -256,9 +234,7 @@ def test_bulk_match_counts_costs_for_unscored_terms():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "backend", ["python"] + (["csr"] if HAVE_NUMPY else [])
-)
+@pytest.mark.parametrize("backend", ["python", "csr"])
 def test_execute_span_carries_backend_tag(backend):
     bundle = ScaledWorkload(
         num_filters=200, num_documents=6, seed=9

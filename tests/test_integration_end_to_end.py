@@ -148,22 +148,27 @@ class TestDeliveryIntegration:
 
 
 class TestStorageIntegration:
-    def test_filters_stored_in_column_families(self, bundle):
+    def test_filters_stored_on_home_of_each_term(self, bundle):
         system, cluster = _build("Move", bundle)
+        # Every filter is stored on the home node of each of its terms,
+        # indexed there under that term: one replica per (filter, term).
+        for profile in bundle.filters:
+            for term in profile.terms:
+                home_index = system._home_indexes[system.home_of(term)]
+                assert profile.filter_id in home_index
         stored = sum(
-            cluster.node(node_id).filter_store.approximate_row_count()
-            for node_id in cluster.node_ids()
+            index.stored_replica_count()
+            for index in system._home_indexes.values()
         )
-        # Every filter is stored on the home node of each of its terms;
-        # row counts per node are distinct filters, so the total is at
-        # least the filter count.
-        assert stored >= len(bundle.filters)
+        assert stored == sum(len(p.terms) for p in bundle.filters)
 
     def test_flush_and_compact_preserve_reads(self, bundle):
         system, cluster = _build("IL", bundle)
         sample = bundle.filters[0]
         home = system.home_of(next(iter(sample.terms)))
-        store = cluster.node(home).filter_store
+        assert sample.filter_id in system.index_of(home)
+        store = cluster.node(home).storage.create_column_family("filters")
+        store.put(sample.filter_id, "terms", sample.sorted_terms())
         store.flush()
         store.compact()
-        assert store.get(sample.filter_id, "terms") is not None
+        assert store.get(sample.filter_id, "terms") == sample.sorted_terms()

@@ -34,7 +34,6 @@ from repro.experiments.harness import (
     make_system,
 )
 from repro.matching import (
-    HAVE_NUMPY,
     InvertedIndex,
     ScoreKernel,
     SiftMatcher,
@@ -46,11 +45,11 @@ WORKLOAD = ScaledWorkload(num_filters=600, num_documents=40, seed=11)
 
 ALL_SCHEMES = ["move", "il", "rs", "central"]
 
-#: The equivalence matrix runs once per available kernel backend: the
-#: python accumulators always, the vectorized CSR engine when numpy is
-#: importable.  Every backend must be bit-identical to the naive
-#: reference scorer — and therefore to each other.
-BACKENDS = ["python"] + (["csr"] if HAVE_NUMPY else [])
+#: The equivalence matrix runs once per kernel backend: the python
+#: accumulators and the vectorized CSR engine.  Every backend must be
+#: bit-identical to the naive reference scorer — and therefore to each
+#: other.
+BACKENDS = ["python", "csr"]
 
 THRESHOLD = 0.12
 

@@ -9,8 +9,8 @@ profiles — same tasks, same routing, same unreachable sets, same RNG
 stream — except that delivery drops exactly the matched ids whose
 predicate rejects the document.
 
-That twin-oracle property is checked across every scheme, both filter
-storage modes, both kernel backends, boolean and threshold semantics,
+That twin-oracle property is checked across every scheme, both
+kernel backends, boolean and threshold semantics,
 and under node failures; an independent pure-model oracle re-derives
 the boolean case from :meth:`QueryNode.matches` alone.  Around it:
 the redesigned ``subscribe`` entrypoint (uniform item kinds, auto
@@ -41,7 +41,6 @@ from repro.experiments.harness import (
     make_system,
     register_streaming,
 )
-from repro.matching import HAVE_NUMPY
 from repro.model import (
     Document,
     Filter,
@@ -56,8 +55,7 @@ from repro.serve.journal import JournaledSystem
 from repro.text import tokenize
 
 ALL_SCHEMES = ["move", "il", "rs", "central"]
-BACKENDS = ["python"] + (["csr"] if HAVE_NUMPY else [])
-STORAGES = ["object", "slab"]
+BACKENDS = ["python", "csr"]
 
 WORKLOAD = ScaledWorkload(
     num_filters=240,
@@ -83,15 +81,13 @@ def _predicate_of(profile: Filter):
     return None
 
 
-def _build(scheme, bundle, *, storage="object", backend="python",
-           threshold=None, flat=False, seed=3):
+def _build(scheme, bundle, *, backend="python", threshold=None,
+           flat=False, seed=3):
     workload = bundle.workload
     cluster, config = build_cluster(
         workload.num_nodes, workload.node_capacity, seed=seed
     )
-    config = replace(
-        config, filter_storage=storage, matching_backend=backend
-    )
+    config = replace(config, matching_backend=backend)
     system = make_system(scheme, cluster, config, threshold=threshold)
     profiles = bundle.filters
     if flat:
@@ -111,20 +107,18 @@ def _fail_same_nodes(*systems, fraction=0.25):
             system.cluster.fail_node(node_id)
 
 
-def _check_twin_property(scheme, *, storage="object", backend="python",
-                         threshold=None, fail=0.0):
+def _check_twin_property(scheme, *, backend="python", threshold=None,
+                         fail=0.0):
     bundle = WORKLOAD.build()
     predicates = {
         p.filter_id: _predicate_of(p) for p in bundle.filters
     }
     assert any(v is not None for v in predicates.values())
     predicated = _build(
-        scheme, bundle, storage=storage, backend=backend,
-        threshold=threshold,
+        scheme, bundle, backend=backend, threshold=threshold
     )
     flat = _build(
-        scheme, bundle, storage=storage, backend=backend,
-        threshold=threshold, flat=True,
+        scheme, bundle, backend=backend, threshold=threshold, flat=True
     )
     if fail:
         _fail_same_nodes(predicated, flat, fraction=fail)
@@ -161,12 +155,9 @@ def _check_twin_property(scheme, *, storage="object", backend="python",
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_delivery_matches_flat_twin_plus_predicate(
-    scheme, storage, backend
-):
-    _check_twin_property(scheme, storage=storage, backend=backend)
+def test_delivery_matches_flat_twin_plus_predicate(scheme, backend):
+    _check_twin_property(scheme, backend=backend)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -181,11 +172,10 @@ def test_delivery_matches_twin_under_threshold(scheme, backend):
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("storage", STORAGES)
-def test_boolean_delivery_matches_pure_model_oracle(scheme, storage):
+def test_boolean_delivery_matches_pure_model_oracle(scheme):
     """Independent oracle: any-anchor hit gated by QueryNode.matches."""
     bundle = WORKLOAD.build()
-    system = _build(scheme, bundle, storage=storage)
+    system = _build(scheme, bundle)
     for document in bundle.documents:
         expected = set()
         for profile in bundle.filters:
@@ -228,11 +218,9 @@ def test_failure_soundness_with_predicates():
 # ---------------------------------------------------------------------------
 
 
-def _small_system(**config_kwargs):
+def _small_system():
     config = SystemConfig(
-        cluster=ClusterConfig(num_nodes=4, num_racks=2, seed=1),
-        seed=1,
-        **config_kwargs,
+        cluster=ClusterConfig(num_nodes=4, num_racks=2, seed=1), seed=1
     )
     return MoveSystem(Cluster(config.cluster), config)
 
@@ -400,7 +388,7 @@ def test_rarest_anchor_homing_uses_live_popularity():
 
 
 def test_slab_rehydrates_subscriptions_with_query_text():
-    system = _small_system(filter_storage="slab")
+    system = _small_system()
     original = Subscription.from_query(
         "q", "storm AND (flood OR surge) NOT sport", owner="alice"
     )
@@ -422,7 +410,7 @@ def test_slab_rehydrates_subscriptions_with_query_text():
 
 
 def test_slab_accounts_query_bytes_and_releases_them():
-    system = _small_system(filter_storage="slab")
+    system = _small_system()
     baseline = system.filter_slab.memory_bytes()
     system.subscribe([("q", "storm AND flood NOT sport")])
     grown = system.filter_slab.memory_bytes()
@@ -440,7 +428,7 @@ def test_reallocation_carries_predicates_with_slots():
         seed=9,
         predicate_fraction=0.5,
     ).build()
-    system = _build("move", bundle, storage="slab")
+    system = _build("move", bundle)
     before = [system.publish(d).matched_filter_ids for d in bundle.documents]
     system.reallocate(force=True)
     after = [system.publish(d).matched_filter_ids for d in bundle.documents]

@@ -4,9 +4,10 @@ The incremental apply (plan diffing + per-key rebuilds) must be
 *bit-identical* to the from-scratch apply: same match results on the
 same document stream, same RNG stream consumption, same stored replica
 counts per node and key, same storage trackers.  These tests run twin
-systems — identical seeds and workload, ``allocation.incremental``
-flipped — through every diff class (no-op, delta churn, grid resize,
-node churn) and compare full snapshots.
+systems — identical seeds and workload, one of them routing every
+plan through ``MoveSystem._apply_plan_full`` — through every diff
+class (no-op, delta churn, grid resize, node churn) and compare full
+snapshots.
 """
 
 from __future__ import annotations
@@ -34,19 +35,26 @@ from repro.matching.inverted_index import InvertedIndex
 from repro.model import Filter, brute_force_match
 
 
+class _FromScratchMove(MoveSystem):
+    """Reference twin: every plan is applied from scratch."""
+
+    def _apply_plan_incremental(self, plan):
+        return self._apply_plan_full(plan)
+
+
 def _build(incremental, drift_epsilon=0.0, **alloc_kwargs):
     config = SystemConfig(
         cluster=ClusterConfig(num_nodes=8, num_racks=2, seed=1),
         allocation=AllocationConfig(
             node_capacity=400,
-            incremental=incremental,
             drift_epsilon=drift_epsilon,
             **alloc_kwargs,
         ),
         expected_filter_terms=5_000,
         seed=1,
     )
-    return MoveSystem(Cluster(config.cluster), config)
+    system_cls = MoveSystem if incremental else _FromScratchMove
+    return system_cls(Cluster(config.cluster), config)
 
 
 def _bootstrap(system, filters, documents):

@@ -1,34 +1,27 @@
-"""The columnar filter slab and its equivalence contract.
-
-Three layers of coverage for ``SystemConfig.filter_storage = "slab"``:
+"""The columnar filter slab and the indexes built over it.
 
 - unit behaviour of :class:`~repro.model.slab.FilterSlabStore` and the
   :class:`~repro.model.slab.SlabRegistry` mapping view (slot reuse,
   epoch bumps, compaction, bounded rehydration),
-- structural parity of :class:`~repro.matching.slab_index
-  .SlabBackedIndex` against the object :class:`InvertedIndex` under a
-  randomized mutation fuzz,
-- the twin matrix: every scheme × both semantics runs bit-identically
-  under object and slab storage — same match sets, same stored
-  replica distribution, same RNG stream.
+- slot ownership of :class:`~repro.matching.InvertedIndex`: a
+  standalone index owns a private slab and releases its slots, an
+  index over a system's shared slab leaves releases to the registry,
+- bulk and slot-native loads building the same index as per-filter
+  adds, and one slab shared across a system's layers.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import replace
-
 import pytest
 
-from repro.core import MoveSystem
-from repro.experiments.harness import (
-    ScaledWorkload,
-    build_cluster,
-    make_system,
+from repro.experiments.harness import build_cluster, make_system
+from repro.matching import InvertedIndex
+from repro.model import Filter
+from repro.model.slab import (
+    COMPACT_MIN_DEAD_CELLS,
+    FilterSlabStore,
+    SlabRegistry,
 )
-from repro.matching import InvertedIndex, SlabBackedIndex
-from repro.model import Document, Filter
-from repro.model.slab import FilterSlabStore, SlabRegistry
 
 
 def _filter(fid: str, terms, owner: str = "") -> Filter:
@@ -195,12 +188,12 @@ def test_registry_rejects_mismatched_keys():
 
 
 # ---------------------------------------------------------------------------
-# SlabBackedIndex parity fuzz
+# InvertedIndex over the slab
 # ---------------------------------------------------------------------------
 
 
 def _index_fingerprint(index, terms):
-    """Observable state of an index, comparable across storage modes."""
+    """Observable state of an index."""
     per_term = {}
     for term in terms:
         filters, cost = index.filters_for_term(term)
@@ -219,70 +212,60 @@ def _index_fingerprint(index, terms):
     }
 
 
-def test_slab_index_matches_object_index_under_fuzz():
-    rng = random.Random(0xC0FFEE)
-    vocab = [f"term{i}" for i in range(30)]
-    slab = FilterSlabStore()
-    obj = InvertedIndex()
-    col = SlabBackedIndex(slab)
-    live = {}
-    for step in range(400):
-        action = rng.random()
-        if action < 0.55 or not live:
-            fid = f"f{step}"
-            terms = rng.sample(vocab, rng.randint(1, 5))
-            profile = _filter(fid, terms)
-            indexed = (
-                None
-                if rng.random() < 0.5
-                else rng.sample(terms, rng.randint(1, len(terms)))
-            )
-            obj.add_filter(profile, indexed_terms=indexed)
-            col.add_filter(profile, indexed_terms=indexed)
-            live[fid] = profile
-        elif action < 0.85:
-            fid = rng.choice(sorted(live))
-            assert obj.remove_filter(fid) == col.remove_filter(fid)
-            del live[fid]
-        else:
-            term = rng.choice(vocab)
-            moved_obj = {f.filter_id for f in obj.remove_term(term)}
-            moved_col = {f.filter_id for f in col.remove_term(term)}
-            assert moved_obj == moved_col
-        assert _index_fingerprint(obj, vocab) == _index_fingerprint(
-            col, vocab
-        )
-
-    document = Document.from_terms("d1", rng.sample(vocab, 8))
-    got_obj, cost_obj = obj.match_document_all_terms(document)
-    got_col, cost_col = col.match_document_all_terms(document)
-    assert {f.filter_id for f in got_obj} == {
-        f.filter_id for f in got_col
-    }
-    assert cost_obj == cost_col
-
-
-def test_slab_index_retrieve_for_term_is_lazy_and_equivalent():
-    slab = FilterSlabStore()
-    index = SlabBackedIndex(slab)
-    profiles = [
-        _filter(f"f{i}", ["shared", f"own{i}"]) for i in range(5)
+def test_standalone_index_leaks_no_slots_under_churn():
+    """10 000 add/remove cycles on a standalone index: its private slab
+    reuses released slots, so the slot count never exceeds the peak
+    live population."""
+    index = InvertedIndex()
+    resident = [
+        _filter(f"r{i}", [f"res{i % 5}", f"res{(i + 1) % 5}"])
+        for i in range(16)
     ]
-    for profile in profiles:
-        index.add_filter(profile)
-    filters, ids, lists, entries = index.retrieve_for_term("shared")
-    assert lists == 1 and entries == 5
-    assert sorted(ids) == [f"f{i}" for i in range(5)]
-    # The filters element hydrates only when iterated.
-    assert len(filters) == 5
-    assert sorted(f.filter_id for f in filters) == sorted(ids)
-    assert index.retrieve_for_term("absent") == ([], (), 0, 0)
+    index.add_filters((profile, None) for profile in resident)
+    for cycle in range(10_000):
+        term = f"churn{cycle % 7}"
+        index.add_filter(_filter(f"c{cycle}", [term, "res0"]), [term])
+        if cycle % 2:
+            assert index.remove_filter(f"c{cycle}")
+        else:
+            moved = index.remove_term(term)
+            assert [profile.filter_id for profile in moved] == [
+                f"c{cycle}"
+            ]
+    slab = index.slab
+    assert slab.slot_count <= len(resident) + 1
+    assert len(slab) == len(index) == len(resident)
+    # Released term-id cells are compacted away as they accumulate.
+    assert slab.dead_term_cells <= COMPACT_MIN_DEAD_CELLS + 2
 
 
-def test_slab_index_bulk_and_slot_loads_match_incremental():
+def test_standalone_remove_term_keeps_slot_while_indexed_elsewhere():
+    index = InvertedIndex()
+    index.add_filter(_filter("f1", ["a", "b"]))
+    assert [f.filter_id for f in index.remove_term("a")] == ["f1"]
+    assert "f1" in index.slab and "f1" in index
+    index.remove_term("b")
+    assert "f1" not in index.slab and "f1" not in index
+    assert index.slab.free_slots == 1
+
+
+def test_shared_slab_is_released_only_through_the_registry():
     slab = FilterSlabStore()
-    incremental = SlabBackedIndex(slab)
-    bulk = SlabBackedIndex(slab)
+    registry = SlabRegistry(slab)
+    index = InvertedIndex(slab)
+    profile = _filter("f1", ["a", "b"])
+    index.add_filter(profile)
+    registry["f1"] = profile
+    assert index.remove_filter("f1")
+    assert "f1" in slab  # other layers may still hold the slot
+    del registry["f1"]
+    assert "f1" not in slab
+
+
+def test_bulk_and_slot_loads_match_per_filter_adds():
+    slab = FilterSlabStore()
+    incremental = InvertedIndex(slab)
+    bulk = InvertedIndex(slab)
     profiles = [
         _filter(f"f{i}", [f"t{i % 4}", f"u{i % 3}"]) for i in range(30)
     ]
@@ -294,7 +277,7 @@ def test_slab_index_bulk_and_slot_loads_match_incremental():
         bulk, vocab
     )
     # Slot-native load (the reallocation path) builds the same index.
-    slots = SlabBackedIndex(slab)
+    slots = InvertedIndex(slab)
     slots.add_slots(
         (slab.slot_of(p.filter_id), None) for p in profiles
     )
@@ -303,114 +286,14 @@ def test_slab_index_bulk_and_slot_loads_match_incremental():
     )
 
 
-# ---------------------------------------------------------------------------
-# The twin matrix: object vs slab across schemes and semantics
-# ---------------------------------------------------------------------------
-
-TWIN_WORKLOAD = ScaledWorkload(
-    num_filters=400,
-    num_documents=60,
-    num_nodes=8,
-    node_capacity=300,
-    vocabulary_size=300,
-    seed=17,
-)
-
-
-def _twin_run(scheme: str, storage: str, threshold=None):
-    """One registration-churn-publish run; its observable trace."""
-    bundle = TWIN_WORKLOAD.build()
-    cluster, config = build_cluster(
-        TWIN_WORKLOAD.num_nodes, TWIN_WORKLOAD.node_capacity, seed=5
-    )
-    config = replace(config, filter_storage=storage)
-    system = make_system(scheme, cluster, config, threshold=threshold)
-    system.register_batch(bundle.filters)
-    churn = random.Random(23)
-    for fid in churn.sample(
-        [p.filter_id for p in bundle.filters], 40
-    ):
-        system.unregister(fid)
-    if isinstance(system, MoveSystem):
-        system.seed_frequencies(bundle.offline_corpus())
-    system.finalize_registration()
-    plans = system.publish_batch(bundle.documents)
-    trace = {
-        "matches": [
-            tuple(sorted(plan.matched_filter_ids)) for plan in plans
-        ],
-        "storage": system.storage_distribution(),
-        "registered": sorted(system.registered_filters),
-    }
-    rng = getattr(system, "_rng", None)
-    if rng is not None:
-        trace["rng"] = rng.getstate()
-    return trace
-
-
-@pytest.mark.parametrize("scheme", ["move", "il", "rs", "central"])
-@pytest.mark.parametrize(
-    "threshold", [None, 0.2], ids=["boolean", "threshold"]
-)
-def test_slab_twin_is_bit_identical(scheme, threshold):
-    object_trace = _twin_run(scheme, "object", threshold)
-    slab_trace = _twin_run(scheme, "slab", threshold)
-    assert object_trace == slab_trace
-
-
-def test_move_slab_twin_survives_churny_reallocation():
-    """Post-finalize churn + repeated reallocation stays equivalent.
-
-    This is the epoch-invalidation scenario: write-through adds, slot
-    releases and slot *reuse* interleave with incremental reallocation,
-    so any stale hydration-cache or subset-index binding would show up
-    as a match-set divergence between the twins.
-    """
-
-    def run(storage: str):
-        bundle = TWIN_WORKLOAD.build()
-        cluster, config = build_cluster(
-            TWIN_WORKLOAD.num_nodes,
-            TWIN_WORKLOAD.node_capacity,
-            seed=5,
-        )
-        config = replace(config, filter_storage=storage)
-        system = make_system("move", cluster, config)
-        initial = bundle.filters[:300]
-        late = bundle.filters[300:]
-        system.register_batch(initial)
-        system.seed_frequencies(bundle.offline_corpus())
-        system.finalize_registration()
-        matches = []
-        churn = random.Random(31)
-        docs = list(bundle.documents)
-        for round_no in range(3):
-            for fid in churn.sample(
-                sorted(system.registered_filters), 25
-            ):
-                system.unregister(fid)
-            wave = late[round_no * 30 : (round_no + 1) * 30]
-            for profile in wave:
-                system.register(profile)
-            system.reallocate()
-            for doc in docs[round_no * 15 : (round_no + 1) * 15]:
-                plan = system.publish(doc)
-                matches.append(tuple(sorted(plan.matched_filter_ids)))
-        return matches, system.storage_distribution()
-
-    assert run("object") == run("slab")
-
-
 def test_slab_mode_shares_one_slab_across_system_layers():
     """The registration table and every index use the same slab."""
     cluster, config = build_cluster(4, 300, seed=1)
-    config = replace(config, filter_storage="slab")
     system = make_system("move", cluster, config)
     profiles = [_filter(f"f{i}", [f"t{i % 7}", "shared"]) for i in range(50)]
-    system.register_batch(profiles)
+    system.subscribe(profiles)
     system.finalize_registration()
     slab = system.filter_slab
-    assert slab is not None
     assert len(slab) == 50
     for index in system._home_indexes.values():
         assert index.slab is slab
@@ -418,5 +301,5 @@ def test_slab_mode_shares_one_slab_across_system_layers():
     system.unregister("f0")
     assert "f0" not in slab
     assert slab.free_slots == 1
-    system.register(_filter("f-reused", ["t1"]))
+    system.subscribe([_filter("f-reused", ["t1"])])
     assert slab.free_slots == 0
