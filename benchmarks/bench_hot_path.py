@@ -14,26 +14,24 @@ dissemination loop two ways on all four schemes:
 
 Each scheme is benched in two matching modes: the paper's boolean
 any-term semantics and the VSM similarity-threshold extension.  In the
-threshold benches the reference loop additionally disables the
-score-accumulation kernel (``SystemConfig(matching_kernel=False)``),
-recovering the naive score-per-candidate scorer, so the ratio gates
-the kernel (:mod:`repro.matching.kernel`); those benches assert the
-ISSUE-3 acceptance floor of >= 3x for every scheme.
+threshold benches the reference loop additionally runs on the
+test-only naive twin (:func:`tests.oracles.naive_threshold_twin`,
+the naive score-per-candidate scorer), so the ratio gates the scoring
+kernel (:mod:`repro.matching.kernel`); those benches assert an
+acceptance floor of >= 3x for every scheme.
 
 The speedup ratio is recorded in ``extra_info`` (and asserted >= 2x
 for MOVE, the paper's scheme); the committed ``BENCH_hot_path.json``
 baseline lets ``scripts/run_benchmarks.py`` flag regressions.
 
-The ``test_csr_*`` benches gate the vectorized CSR matching backend
-(ISSUE-6) against the python kernel — both kernels enabled, scores
-bit-identical, only throughput differs.  The headline >= 3x acceptance
-floor runs on the matching-dominant 50k-filter SiftMatcher loop; the
-whole-pipeline variants assert never-worse floors.  Every floor is
-recorded as ``csr_floor`` in ``extra_info`` and re-asserted by
-``scripts/run_benchmarks.py`` in both gate modes.
+The ``test_csr_*`` benches time the kernel's accumulation pass on
+matching-heavy loops (the 20k/50k-filter SiftMatcher loop and whole
+threshold pipelines) and record absolute docs/s only: the python
+accumulator they used to divide by no longer exists.  They keep their
+names so the committed baseline still gates that absolute docs/s.
 
 ``test_tracing_disabled_overhead`` gates the observability layer's
-disabled path (ISSUE-4): with the default no-op tracer installed,
+disabled path: with the default no-op tracer installed,
 ``publish_batch`` must run within 2% of the traced-twin-free engine
 loop — the only extra work is one ``tracer.enabled`` check per batch.
 
@@ -65,6 +63,7 @@ from repro.core import MoveSystem
 from repro.experiments.harness import build_cluster, make_system
 
 from conftest import BENCH_WORKLOAD, record, run_once
+from tests.oracles import naive_threshold_twin
 
 #: Flag gating the cProfile hook: profiling skews absolute timings, so
 #: it is opt-in and the profiled run is separate from the timed run.
@@ -81,19 +80,20 @@ def _build_system(
     bundle,
     seed: int = 0,
     threshold=None,
-    matching_kernel: bool = True,
-    backend: str = None,
+    naive: bool = False,
 ):
-    """Register + allocate one scheme over the bench workload."""
+    """Register + allocate one scheme over the bench workload.
+
+    ``naive`` switches a threshold system onto the naive
+    per-candidate scorer (the kernel's reference).
+    """
     workload = bundle.workload
     cluster, config = build_cluster(
         workload.num_nodes, workload.node_capacity, seed=seed
     )
-    if not matching_kernel:
-        config = replace(config, matching_kernel=False)
-    if backend is not None:
-        config = replace(config, matching_backend=backend)
     system = make_system(scheme, cluster, config, threshold=threshold)
+    if naive:
+        naive_threshold_twin(system)
     system.subscribe(bundle.filters)
     if isinstance(system, MoveSystem):
         system.seed_frequencies(bundle.offline_corpus())
@@ -118,11 +118,11 @@ def _maybe_profile(label: str, runner):
 def _time_reference(scheme: str, bundle, threshold=None) -> float:
     """Seconds for the seed-equivalent per-document publish loop.
 
-    With a threshold, the scoring kernel is also disabled so matching
-    runs the naive per-candidate cosine loop — the pre-kernel work.
+    With a threshold, the system is the naive twin, so matching runs
+    the naive per-candidate cosine loop — the pre-kernel work.
     """
     system = _build_system(
-        scheme, bundle, threshold=threshold, matching_kernel=False
+        scheme, bundle, threshold=threshold, naive=threshold is not None
     )
     system.cluster.ring.cache_enabled = False
     documents = bundle.documents
@@ -251,64 +251,53 @@ def test_hot_path_central_vsm(benchmark):
     assert speedup >= 3.0
 
 
-# -- CSR backend vs python kernel (ISSUE-6) ----------------------------------
+# -- accumulation-pass throughput ---------------------------------------------
 #
-# Both backends are bit-identical (the equivalence matrix proves it),
-# so these benches gate only throughput: the vectorized CSR block pass
-# against the PR 3 python accumulators, kernel enabled on both sides.
-# The leverage grows with posting-block size — per-posting python
-# bookkeeping is what vectorization removes — so the headline >= 3x
-# acceptance floor is asserted where matching dominates (the pure
-# SiftMatcher loop at 50k filters) and the whole-pipeline benches
-# assert honest never-worse floors (pipeline fixed costs — routing,
-# Bloom, per-document vector builds — are backend-independent and
-# dilute the ratio).  Each bench also records a ``csr_floor`` so
-# ``scripts/run_benchmarks.py --check`` re-asserts the floor even if a
-# bench's inline assert is ever relaxed.
+# The kernel's vectorized accumulation pass on matching-heavy loops:
+# the pure SiftMatcher threshold loop at 20k and 50k filters (all
+# kernel work: posting gather + exact segment sums) and whole
+# threshold pipelines whose execute stage runs it per node visit.
+# These record absolute docs/s only — the python accumulator the old
+# ratio floors divided by is gone; scores stay bit-identical to the
+# naive scorer (the equivalence suite proves it).
 
-from repro.config import SystemConfig
 from repro.matching import InvertedIndex, SiftMatcher
 from repro.matching.vsm import VsmScorer
 
-#: Matching-dominant workload for the matcher-level benches: at 50k
-#: filters the posting blocks are large enough that per-posting python
-#: work dominates the python kernel's time.
-CSR_BULK_FILTERS = 50_000
-CSR_MID_FILTERS = 20_000
-CSR_DOCUMENTS = 200
+#: Matching-dominant workload sizes for the matcher-level benches.
+MATCHER_BULK_FILTERS = 50_000
+MATCHER_MID_FILTERS = 20_000
+MATCHER_DOCUMENTS = 200
 
-_CSR_BUNDLES = {}
+_MATCHING_BUNDLES = {}
 
 
-def _csr_bundle(num_filters: int):
-    """Build (once) and share the big CSR workloads across benches."""
-    bundle = _CSR_BUNDLES.get(num_filters)
+def _matching_bundle(num_filters: int):
+    """Build (once) and share the big matching workloads."""
+    bundle = _MATCHING_BUNDLES.get(num_filters)
     if bundle is None:
         from repro.experiments.harness import ScaledWorkload
 
         bundle = ScaledWorkload(
             num_filters=num_filters,
-            num_documents=CSR_DOCUMENTS,
+            num_documents=MATCHER_DOCUMENTS,
             node_capacity=num_filters,
             seed=7,
         ).build()
-        _CSR_BUNDLES[num_filters] = bundle
+        _MATCHING_BUNDLES[num_filters] = bundle
     return bundle
 
 
-def _time_matcher(bundle, backend: str) -> float:
+def _time_matcher(bundle) -> float:
     """Best-of-3 seconds for the pure SiftMatcher threshold loop."""
     index = InvertedIndex()
     for profile in bundle.filters:
         index.add_filter(profile)
     matcher = SiftMatcher(
-        index,
-        scorer=VsmScorer(),
-        threshold=BENCH_THRESHOLD,
-        config=SystemConfig(matching_backend=backend),
+        index, scorer=VsmScorer(), threshold=BENCH_THRESHOLD
     )
     documents = bundle.documents
-    for document in documents[:10]:  # warm caches + CSR hydration
+    for document in documents[:10]:  # warm caches
         matcher.match(document)
     best = float("inf")
     for _ in range(3):
@@ -319,13 +308,11 @@ def _time_matcher(bundle, backend: str) -> float:
     return best
 
 
-def _time_pipeline(scheme, bundle, backend: str) -> float:
+def _time_pipeline(scheme, bundle) -> float:
     """Best-of-5 seconds for the whole threshold publish_batch."""
-    system = _build_system(
-        scheme, bundle, threshold=BENCH_THRESHOLD, backend=backend
-    )
+    system = _build_system(scheme, bundle, threshold=BENCH_THRESHOLD)
     documents = bundle.documents
-    system.publish_batch(documents[:10])  # warm caches + CSR hydration
+    system.publish_batch(documents[:10])  # warm caches
     best = float("inf")
     for _ in range(5):
         start = time.perf_counter()
@@ -334,65 +321,43 @@ def _time_pipeline(scheme, bundle, backend: str) -> float:
     return best
 
 
-def _bench_csr(benchmark, label, floor, timer, *args) -> float:
-    """Time python vs csr, record the ratio, assert the floor."""
-    python_s = timer(*args, "python")
-    csr_s = timer(*args, "csr")
-    run_once(benchmark, timer, *args, "csr")
-    speedup = python_s / csr_s
+def _bench_accumulation(benchmark, label, timer, *args) -> float:
+    """Time the loop and record its absolute throughput."""
+    seconds = timer(*args)
+    run_once(benchmark, timer, *args)
     docs = len(args[-1].documents)  # the bundle is always last
     print(
-        f"\n{label}: python {python_s * 1e3:.1f} ms "
-        f"({docs / python_s:.0f} docs/s) -> csr "
-        f"{csr_s * 1e3:.1f} ms ({docs / csr_s:.0f} docs/s), "
-        f"speedup {speedup:.2f}x (floor {floor}x)"
+        f"\n{label}: {seconds * 1e3:.1f} ms "
+        f"({docs / seconds:.0f} docs/s)"
     )
     record(
         benchmark,
-        python_seconds=python_s,
-        csr_seconds=csr_s,
-        speedup=speedup,
-        csr_floor=floor,
-        docs_per_second_batched=docs / csr_s,
-        docs_per_second_reference=docs / python_s,
+        kernel_seconds=seconds,
+        docs_per_second_batched=docs / seconds,
     )
-    assert speedup >= floor
-    return speedup
+    return seconds
 
 
 def test_csr_matcher_50k(benchmark):
-    """Pure matching at 50k filters: the >= 3x acceptance gate.
-
-    The SiftMatcher loop is all kernel work (posting walk + scoring);
-    this is the apples-to-apples bench of the CSR block pass against
-    the PR 3 python accumulators.
-    """
-    bundle = _csr_bundle(CSR_BULK_FILTERS)
-    _bench_csr(
-        benchmark, "csr matcher 50k", 3.0, _time_matcher, bundle
-    )
+    """Pure threshold matching at 50k filters."""
+    bundle = _matching_bundle(MATCHER_BULK_FILTERS)
+    _bench_accumulation(benchmark, "matcher 50k", _time_matcher, bundle)
 
 
 def test_csr_matcher_20k(benchmark):
-    """Pure matching at 20k filters: mid-scale never-worse floor."""
-    bundle = _csr_bundle(CSR_MID_FILTERS)
-    _bench_csr(
-        benchmark, "csr matcher 20k", 1.3, _time_matcher, bundle
-    )
+    """Pure threshold matching at 20k filters."""
+    bundle = _matching_bundle(MATCHER_MID_FILTERS)
+    _bench_accumulation(benchmark, "matcher 20k", _time_matcher, bundle)
 
 
 def test_csr_central_pipeline_20k(benchmark):
-    """Whole Centralized publish_batch at 20k filters.
-
-    One node sees every posting block, so this is the largest
-    accumulation surface any scheme offers the backend; the remaining
-    gap to the matcher-level ratio is pipeline fixed cost.
-    """
-    bundle = _csr_bundle(CSR_MID_FILTERS)
-    _bench_csr(
+    """Whole Centralized threshold publish_batch at 20k filters: one
+    node sees every posting list, the largest accumulation surface
+    any scheme offers the kernel."""
+    bundle = _matching_bundle(MATCHER_MID_FILTERS)
+    _bench_accumulation(
         benchmark,
-        "csr central pipeline 20k",
-        1.3,
+        "central pipeline 20k",
         _time_pipeline,
         "central",
         bundle,
@@ -400,47 +365,20 @@ def test_csr_central_pipeline_20k(benchmark):
 
 
 def test_csr_rs_pipeline_4k(benchmark):
-    """Whole RS publish_batch on the Figure-8 workload.
-
-    Every partition replica runs a block match per document, so RS
-    multiplies the accumulation surface even at 4k filters.  The
-    floor is near-parity, not a win: the memoized scalar retrieval
-    path shared by both backends got cheaper
-    (``InvertedIndex.retrieve_for_term`` builds the memo entry in one
-    call, no RetrievalCost allocation), which ate most of the
-    pipeline-level margin on the retrieval-heavy RS scheme — the
-    ratio now hovers around 1.1-1.3x with run-to-run noise reaching
-    parity, so the floor matches MOVE's parity class.  The
-    kernel-level >= 3x acceptance is carried by the 50k matcher
-    bench; central pipeline still gates a pipeline-level win.
-    """
+    """Whole RS threshold publish_batch on the Figure-8 workload:
+    every partition replica runs an accumulation pass per document."""
     bundle = BENCH_WORKLOAD.build()
-    _bench_csr(
-        benchmark,
-        "csr rs pipeline 4k",
-        0.75,
-        _time_pipeline,
-        "rs",
-        bundle,
+    _bench_accumulation(
+        benchmark, "rs pipeline 4k", _time_pipeline, "rs", bundle
     )
 
 
 def test_csr_move_pipeline_4k(benchmark):
-    """Whole MOVE publish_batch on the Figure-8 workload.
-
-    MOVE's home-subset matching mixes lookup mode (shared scalar path,
-    backend-invariant by design) with smaller accumulation blocks, so
-    the floor here is parity: the CSR default must never cost MOVE
-    throughput.
-    """
+    """Whole MOVE threshold publish_batch on the Figure-8 workload
+    (home-node lookup mode: the kernel's scalar select path)."""
     bundle = BENCH_WORKLOAD.build()
-    _bench_csr(
-        benchmark,
-        "csr move pipeline 4k",
-        0.75,
-        _time_pipeline,
-        "move",
-        bundle,
+    _bench_accumulation(
+        benchmark, "move pipeline 4k", _time_pipeline, "move", bundle
     )
 
 

@@ -97,7 +97,7 @@ def test_micro_sift_matching(benchmark):
 
 
 def test_micro_query_evaluation(benchmark):
-    from repro.matching import parse_query
+    from repro.model.query import parse_query
 
     node = parse_query(
         "(storm OR surge) AND (flood OR rain) NOT sports"

@@ -118,7 +118,7 @@ def _churn(system, bundle, cycle: int) -> None:
     for profile in victims:
         system.unregister(profile.filter_id)
     for index, profile in enumerate(victims):
-        system.register(
+        system.subscribe(
             Filter.from_terms(
                 f"churn-{cycle}-{index}", profile.sorted_terms()
             )

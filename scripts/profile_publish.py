@@ -12,14 +12,8 @@ Examples::
     python scripts/profile_publish.py --scheme move
     python scripts/profile_publish.py --scheme rs --threshold 0.15
     python scripts/profile_publish.py --scheme il --sort tottime --top 40
-    python scripts/profile_publish.py --scheme central --threshold 0.2 \
-        --backend python --backend csr
+    python scripts/profile_publish.py --scheme central --threshold 0.2
     python scripts/profile_publish.py --scheme move --memory
-
-``--backend`` selects the matching-kernel backend (threshold mode
-only); repeat it to profile the same workload under several backends,
-one cProfile section each — the quickest way to see where the
-vectorized CSR pass shifts the hot spots.
 
 ``--memory`` switches from cProfile to tracemalloc: each pipeline
 stage (registration, finalize/allocation, publish) is snapshotted and
@@ -38,7 +32,6 @@ import io
 import pstats
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -98,14 +91,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="pstats sort key (default: cumulative)",
     )
     parser.add_argument(
-        "--naive-scorer",
-        action="store_true",
-        help=(
-            "disable the score-accumulation kernel (threshold mode "
-            "only) to profile the pre-kernel naive scoring loop"
-        ),
-    )
-    parser.add_argument(
         "--memory",
         action="store_true",
         help=(
@@ -113,21 +98,10 @@ def parse_args(argv=None) -> argparse.Namespace:
             "the top allocation sites per pipeline stage"
         ),
     )
-    parser.add_argument(
-        "--backend",
-        action="append",
-        choices=["python", "csr"],
-        default=None,
-        help=(
-            "matching-kernel backend to profile; repeat the flag to "
-            "emit one cProfile section per backend (default: the "
-            "config's auto-resolved backend)"
-        ),
-    )
     return parser.parse_args(argv)
 
 
-def build_system(args, backend=None):
+def build_system(args):
     workload = ScaledWorkload(
         num_filters=args.filters,
         num_documents=args.documents,
@@ -137,10 +111,6 @@ def build_system(args, backend=None):
     cluster, config = build_cluster(
         workload.num_nodes, workload.node_capacity, seed=0
     )
-    if args.naive_scorer:
-        config = replace(config, matching_kernel=False)
-    if backend is not None:
-        config = replace(config, matching_backend=backend)
     system = make_system(
         args.scheme, cluster, config, threshold=args.threshold
     )
@@ -151,9 +121,9 @@ def build_system(args, backend=None):
     return system, bundle
 
 
-def profile_backend(args, backend=None) -> None:
-    """One cProfile section: fresh system, one profiled publish."""
-    system, bundle = build_system(args, backend=backend)
+def profile_publish(args) -> None:
+    """Fresh system, one profiled publish."""
+    system, bundle = build_system(args)
     documents = bundle.documents
     profile = cProfile.Profile()
     start = time.perf_counter()
@@ -161,7 +131,6 @@ def profile_backend(args, backend=None) -> None:
     plans = system.publish_batch(documents)
     profile.disable()
     elapsed = time.perf_counter() - start
-    print(f"== backend={system.matching_backend} ==")
     stream = io.StringIO()
     stats = pstats.Stats(profile, stream=stream)
     stats.sort_stats(args.sort).print_stats(args.top)
@@ -172,13 +141,8 @@ def profile_backend(args, backend=None) -> None:
         if args.threshold is not None
         else "boolean"
     )
-    kernel = (
-        "naive scorer"
-        if args.naive_scorer or args.threshold is None
-        else f"kernel/{system.matching_backend}"
-    )
     print(
-        f"# {args.scheme} ({mode}, {kernel}): "
+        f"# {args.scheme} ({mode}): "
         f"{len(documents)} docs in {elapsed * 1e3:.1f} ms "
         f"({len(documents) / elapsed:.0f} docs/s), "
         f"{matches} matches over {args.filters} filters"
@@ -204,7 +168,7 @@ def _print_memory_stage(
     print(f"  {'':>10}  stage net: {total / (1024 * 1024):+.2f} MiB")
 
 
-def profile_memory(args, backend=None) -> None:
+def profile_memory(args) -> None:
     """tracemalloc per pipeline stage: register, finalize, publish.
 
     Filters the traces to this repository so interpreter noise does
@@ -223,10 +187,6 @@ def profile_memory(args, backend=None) -> None:
     cluster, config = build_cluster(
         workload.num_nodes, workload.node_capacity, seed=0
     )
-    if args.naive_scorer:
-        config = replace(config, matching_kernel=False)
-    if backend is not None:
-        config = replace(config, matching_backend=backend)
 
     root = str(Path(__file__).resolve().parent.parent)
     tracemalloc.start(1)
@@ -279,12 +239,10 @@ def profile_memory(args, backend=None) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    backends = args.backend if args.backend else [None]
-    for backend in backends:
-        if args.memory:
-            profile_memory(args, backend=backend)
-        else:
-            profile_backend(args, backend=backend)
+    if args.memory:
+        profile_memory(args)
+    else:
+        profile_publish(args)
     return 0
 
 

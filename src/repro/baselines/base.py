@@ -23,7 +23,6 @@ stage hooks (:meth:`~DisseminationSystem._choose_ingest`,
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import islice
@@ -159,12 +158,7 @@ class DisseminationSystem(ABC):
             from ..matching.vsm import VsmScorer
 
             self._scorer = VsmScorer()
-            self._kernel = ScoreKernel(
-                self._scorer,
-                threshold,
-                enabled=self.config.matching_kernel,
-                backend=self.config.matching_backend,
-            )
+            self._kernel = ScoreKernel(self._scorer, threshold)
         else:
             self._scorer = None
             self._kernel = None
@@ -197,44 +191,18 @@ class DisseminationSystem(ABC):
         kernel = self._kernel
         if kernel is None:
             return list(filters)
-        if not kernel.enabled:
-            threshold = self.threshold
-            scorer = self._scorer
-            return [
-                profile
-                for profile in filters
-                if scorer.similarity(document, profile) >= threshold
-            ]
         return kernel.select(document, filters, self._active_caches)
 
-    @property
-    def matching_backend(self) -> str:
-        """What actually scores candidates, for tracing/diagnostics.
-
-        ``"boolean"`` under the paper's any-term semantics (no scorer),
-        ``"reference"`` when the kernel is disabled (naive
-        per-candidate scoring), else the kernel's resolved backend —
-        ``"python"`` or ``"csr"``.
-        """
-        kernel = self._kernel
-        if kernel is None:
-            return "boolean"
-        if not kernel.enabled:
-            return "reference"
-        return kernel.backend
-
     def _kernel_accumulates(self) -> bool:
-        """True when the posting-walk accumulation fast path may run.
+        """True when the accumulation pass may run.
 
-        Requires an enabled kernel *and* the base `_apply_semantics`:
-        a subclass override must see every term-sharing candidate, so
-        the systems fall back to the candidate-dedup path whenever one
-        is installed.
+        Requires a kernel (threshold semantics) *and* the base
+        `_apply_semantics`: a subclass override must see every
+        term-sharing candidate, so the systems fall back to the
+        candidate-dedup path whenever one is installed.
         """
-        kernel = self._kernel
         return (
-            kernel is not None
-            and kernel.enabled
+            self._kernel is not None
             and type(self)._apply_semantics
             is DisseminationSystem._apply_semantics
         )
@@ -361,12 +329,7 @@ class DisseminationSystem(ABC):
         anywhere in a chunk (against the registry or within the chunk)
         raises without registering any of that chunk.  ``chunk_size``
         bounds peak memory when ``items`` is a large stream — each
-        chunk is admitted as one bulk operation, exactly what the old
-        ``register_streaming`` helper did.
-
-        This entrypoint replaces ``register`` / ``register_all`` /
-        ``register_batch`` / ``register_streaming``, which remain as
-        deprecated shims (see docs/API.md for the migration note).
+        chunk is admitted as one bulk operation.
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -400,41 +363,9 @@ class DisseminationSystem(ABC):
         predicated ones as :class:`~repro.model.Subscription` (whose
         ``query`` carries the original text).  The view is a lazy
         read-only proxy that rehydrates one profile at a time through
-        the slab's bounded cache.  This view replaces direct
-        ``registered_filters`` mapping pokes.
+        the slab's bounded cache.
         """
         return MappingProxyType(self._registered)
-
-    def register(self, profile: Filter) -> None:
-        """Deprecated: use :meth:`subscribe`."""
-        warnings.warn(
-            "register() is deprecated; use subscribe([profile]) "
-            "(see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._admit_one(profile)
-
-    def register_all(self, profiles: Iterable[Filter]) -> None:
-        """Deprecated: use :meth:`subscribe`."""
-        warnings.warn(
-            "register_all() is deprecated; use subscribe(profiles) "
-            "(see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        for profile in profiles:
-            self._admit_one(profile)
-
-    def register_batch(self, profiles: Iterable[Filter]) -> None:
-        """Deprecated: use :meth:`subscribe`."""
-        warnings.warn(
-            "register_batch() is deprecated; use subscribe(profiles) "
-            "(see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._admit_batch(list(profiles))
 
     def _record_predicates(self, batch: Sequence[Filter]) -> None:
         """Post-admission predicate bookkeeping for ``batch``."""
@@ -444,20 +375,6 @@ class DisseminationSystem(ABC):
                 and profile.predicate is not None
             ):
                 self._predicate_count += 1
-
-    def _admit_one(self, profile: Filter) -> None:
-        """Register one profile (the old ``register`` body)."""
-        if profile.filter_id in self._registered:
-            raise ValueError(
-                f"filter {profile.filter_id!r} is already registered"
-            )
-        self._registered[profile.filter_id] = profile
-        self._register(profile)
-        self._mutation_epoch += 1
-        if self._kernel is not None:
-            self._kernel.register_filter(profile)
-        self._record_predicates((profile,))
-        self.metrics.counter("filters_registered").add()
 
     def _register_batch(self, profiles: Sequence[Filter]) -> None:
         """Scheme-specific bulk placement.
@@ -475,7 +392,7 @@ class DisseminationSystem(ABC):
     def _admit_batch(self, batch: Sequence[Filter]) -> None:
         """Register many profiles as one bulk operation.
 
-        Equivalent to a per-profile :meth:`_admit_one` loop — same
+        Equivalent to admitting the profiles one at a time — same
         final placement, stores, metrics, and duplicate-id rejection —
         but lets the scheme amortize posting-list maintenance across
         the batch.  Validation is all-or-nothing *before* placement: a
@@ -542,15 +459,6 @@ class DisseminationSystem(ABC):
 
     def finalize_registration(self) -> None:
         """Hook run after bulk registration (MOVE allocates here)."""
-
-    @property
-    def registered_filters(self) -> Mapping[str, Filter]:
-        """Read view of the registry (the delivery boundary).
-
-        Alias of :meth:`subscriptions`, kept for compatibility; new
-        code should call ``subscriptions()``.
-        """
-        return self.subscriptions()
 
     # -- predicate delivery gate --------------------------------------------
 

@@ -178,7 +178,6 @@ class CentralizedSystem(DisseminationSystem):
             )
         self.central_node = central_node
         self.index = self._make_index()
-        self._matcher = SiftMatcher(self.index)
         self._rng = random.Random((self.config.seed or 0) + 0x0C)
 
     # -- registration ----------------------------------------------------
@@ -238,32 +237,14 @@ class CentralizedSystem(DisseminationSystem):
                 matched.update(filter_ids)
         elif self._kernel_accumulates():
             # Score-accumulation SIFT: the central index holds every
-            # filter under all its terms, so walking the |d| posting
-            # lists accumulates each candidate's full dot product
-            # (see repro.matching.kernel).  The CSR backend runs the
-            # whole central block as one vectorized pass
-            # (repro.matching.csr_kernel); both paths produce
-            # bit-identical matches and costs.
-            bulk = self._kernel.bulk_match(document, self.index, caches)
-            if bulk is not None:
-                profiles, lists, entries = bulk
-                matched.update(
-                    profile.filter_id for profile in profiles
-                )
-            else:
-                scoring = self._kernel.begin(document, caches)
-                for term, term_id in zip(
-                    document.terms, document.term_ids
-                ):
-                    filters, _, n_lists, n_entries = (
-                        self._retrieve_cached(caches, term_id, term)
-                    )
-                    lists += n_lists
-                    entries += n_entries
-                    scoring.accumulate(term, filters)
-                matched.update(
-                    profile.filter_id for profile in scoring.matched()
-                )
+            # filter under all its terms, so one pass over the |d|
+            # posting lists accumulates each candidate's full dot
+            # product (see repro.matching.kernel).
+            slots, lists, entries = self._kernel.match_slots(
+                document, self.index, caches
+            )
+            filter_id = self.filter_slab.filter_id
+            matched.update(filter_id(slot) for slot in slots)
         else:
             # Dedup candidates across terms (as SIFT does) before
             # scoring each one once against the threshold.

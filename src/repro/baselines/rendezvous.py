@@ -37,7 +37,6 @@ from ..config import SystemConfig
 from ..core.pipeline import BatchCaches, ExecutionContext, Retrieval
 from ..errors import ConfigurationError
 from ..matching.inverted_index import InvertedIndex
-from ..matching.sift import SiftMatcher
 from ..model import Document, Filter
 from ..sim.randomness import stable_hash64
 from .base import DisseminationSystem
@@ -79,10 +78,6 @@ class RendezvousSystem(DisseminationSystem):
         ]
         self._indexes: Dict[str, InvertedIndex] = {
             node_id: self._make_index() for node_id in node_ids
-        }
-        self._matchers: Dict[str, SiftMatcher] = {
-            node_id: SiftMatcher(index)
-            for node_id, index in self._indexes.items()
         }
         self._rng = random.Random((self.config.seed or 0) + 0x25)
 
@@ -179,37 +174,14 @@ class RendezvousSystem(DisseminationSystem):
                     matched.update(filter_ids)
             elif self._kernel_accumulates():
                 # Score-accumulation SIFT: every replica indexes its
-                # filters under all their terms, so walking the |d|
-                # posting lists accumulates each candidate's full dot
-                # product (see repro.matching.kernel).  The CSR
-                # backend runs the whole replica block as one
-                # vectorized pass (repro.matching.csr_kernel); both
-                # paths produce bit-identical matches and costs.
-                bulk = self._kernel.bulk_match(
+                # filters under all their terms, so one pass over the
+                # |d| posting lists accumulates each candidate's full
+                # dot product (see repro.matching.kernel).
+                slots, lists, entries = self._kernel.match_slots(
                     document, self._indexes[node_id], caches
                 )
-                if bulk is not None:
-                    profiles, lists, entries = bulk
-                    matched.update(
-                        profile.filter_id for profile in profiles
-                    )
-                else:
-                    scoring = self._kernel.begin(document, caches)
-                    for term, term_id in zip(
-                        document.terms, document.term_ids
-                    ):
-                        filters, _, n_lists, n_entries = (
-                            self._retrieve_cached(
-                                caches, node_id, term_id, term
-                            )
-                        )
-                        lists += n_lists
-                        entries += n_entries
-                        scoring.accumulate(term, filters)
-                    matched.update(
-                        profile.filter_id
-                        for profile in scoring.matched()
-                    )
+                filter_id = self.filter_slab.filter_id
+                matched.update(filter_id(slot) for slot in slots)
             else:
                 # Dedup candidates across terms (as SIFT does) before
                 # scoring each one once against the threshold.

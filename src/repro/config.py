@@ -146,7 +146,12 @@ class AllocationConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Top-level configuration bundling all subsystem configs."""
+    """Top-level configuration bundling all subsystem configs.
+
+    Matching has no knobs here: under the similarity-threshold
+    semantics every system scores with the one kernel of
+    :mod:`repro.matching.kernel`, over the slab's slots.
+    """
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     cost_model: CostModelConfig = field(default_factory=CostModelConfig)
@@ -158,31 +163,10 @@ class SystemConfig:
     expected_filter_terms: int = 100_000
     #: Bloom filter false-positive target.
     bloom_fp_rate: float = 0.01
-    #: Use the score-accumulation matching kernel under the
-    #: similarity-threshold semantics (:mod:`repro.matching.kernel`).
-    #: ``False`` forces the naive score-per-candidate reference scorer
-    #: everywhere — the pre-kernel behavior, kept for benchmarking and
-    #: differential testing.  This knob replaced the per-object
-    #: ``ScoreKernel.enabled`` / ``SiftMatcher(use_kernel=)`` toggles
-    #: (their mutation paths have since been removed).
-    matching_kernel: bool = True
-    #: Which scoring engine runs behind the kernel interface:
-    #: ``"auto"`` / ``"csr"`` (the vectorized CSR backend) or
-    #: ``"python"`` (force the pure-python kernel — the equivalence
-    #: oracle).  Both backends produce bit-identical scores and
-    #: plans; see :mod:`repro.matching.csr_kernel`.
-    matching_backend: str = "auto"
     seed: Optional[int] = 0
-
-    _MATCHING_BACKENDS = ("auto", "csr", "python")
 
     def __post_init__(self) -> None:
         if self.expected_filter_terms < 1:
             raise ConfigurationError("expected_filter_terms must be >= 1")
         if not 0.0 < self.bloom_fp_rate < 1.0:
             raise ConfigurationError("bloom_fp_rate must be in (0, 1)")
-        if self.matching_backend not in self._MATCHING_BACKENDS:
-            raise ConfigurationError(
-                f"unknown matching backend {self.matching_backend!r}; "
-                f"expected one of {self._MATCHING_BACKENDS}"
-            )

@@ -31,7 +31,7 @@ so batching changes *when* work is shared, never *what* is computed —
 plans and RNG consumption are bit-identical either way.
 
 **The batch contract is enforced, not assumed.**  Every mutation of
-registration (``register`` / ``register_batch`` / ``unregister``),
+registration (``subscribe`` / ``unregister``),
 allocation (``MoveSystem`` plan applies), or cluster membership
 (node join/crash/recovery) bumps an epoch counter; the pipeline
 snapshots it into :attr:`BatchCaches.epoch` when the batch opens and
@@ -227,9 +227,7 @@ class BatchCaches:
         ] = {}
         #: id(document) -> :class:`repro.matching.kernel.DocumentScores`
         #: (tf–idf weights, norm, suffix masses, per-filter score
-        #: memo, and — on the CSR backend — the lazily attached numpy
-        #: twin of those vectors), shared by every node/partition
-        #: visit of the batch.
+        #: memo), shared by every node/partition visit of the batch.
         #: Entries hold a strong reference to their document, so the
         #: id key cannot be recycled while the cache lives; epochs on
         #: the entry (IDF ``documents_seen`` + kernel registration)
@@ -571,9 +569,7 @@ class DisseminationPipeline:
                 )
             with tracer.span("route"):
                 routes = system._resolve_routes(document, caches)
-            with tracer.span(
-                "execute", backend=system.matching_backend
-            ) as exec_span:
+            with tracer.span("execute") as exec_span:
                 ctx.work = TracedWorkAccumulator(tracer, self.clock)
                 system._execute(ctx, routes)
                 if getattr(system, "has_predicates", False):

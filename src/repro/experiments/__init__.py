@@ -22,7 +22,6 @@ from .harness import (
     ThroughputResult,
     build_cluster,
     make_system,
-    register_streaming,
     run_scheme_once,
 )
 from .plotting import ascii_plot, sparkline
@@ -33,7 +32,6 @@ __all__ = [
     "ExperimentSeries",
     "ScaledWorkload",
     "StreamingWorkload",
-    "register_streaming",
     "run_scheme_once",
     "build_cluster",
     "make_system",

@@ -15,7 +15,6 @@ FIFO queue, and the document completes when its last task finishes.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
@@ -354,28 +353,6 @@ def _iter_with_predicates(
         yield Subscription.from_query(
             profile.filter_id, query, owner=profile.owner
         )
-
-
-def register_streaming(
-    system: DisseminationSystem,
-    profiles: Iterable[Filter],
-    chunk_size: int = 10_000,
-) -> int:
-    """Deprecated: use ``system.subscribe(profiles, chunk_size=...)``.
-
-    Kept as a thin shim over the unified subscription entrypoint —
-    same chunked all-or-nothing admission, same final state.  Returns
-    the number registered.
-    """
-    warnings.warn(
-        "register_streaming() is deprecated; use "
-        "system.subscribe(profiles, chunk_size=...) (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return len(system.subscribe(profiles, chunk_size=chunk_size))
 
 
 #: Cost-model constants for the scaled-down workloads.  The paper's
@@ -767,7 +744,7 @@ def run_scheme_once(
     )
     if placement is not None or allocation_rule is not None:
         # dataclasses.replace keeps every other knob (bloom_fp_rate,
-        # matching_kernel, ...) at its built value.
+        # seed, ...) at its built value.
         config = replace(
             config,
             allocation=AllocationConfig(

@@ -15,28 +15,17 @@ The paper's matching machinery in one place:
   baseline/MOVE (retrieves only the home term's posting list),
 - :mod:`repro.matching.vsm` — tf–idf / cosine scoring for the
   similarity-threshold extension,
-- :mod:`repro.matching.kernel` — the score-accumulation kernel shared
-  by all threshold-semantics consumers (cached document vectors,
-  dense-slot accumulators, remaining-mass pruning),
-- :mod:`repro.matching.csr_kernel` — the vectorized CSR bulk-matching
-  backend behind the same kernel interface (incremental sparse
-  term×filter blocks, whole-block segment-sum scoring; selected via
-  ``SystemConfig.matching_backend``).
+- :mod:`repro.matching.kernel` — the one score-accumulation kernel
+  shared by all threshold-semantics consumers (cached document
+  vectors, a vectorized pass over the index's own posting arrays of
+  slab slots, remaining-mass pruning).
 """
 
 from .bloom import BloomFilter
-from .csr_kernel import CsrAccelerator, CsrPostingBlock, resolve_backend
 from .home_node import HomeNodeMatcher
 from .inverted_index import InvertedIndex
-from .kernel import DocumentScores, ScoreKernel, ScoringPass
+from .kernel import DocumentScores, ScoreKernel
 from .postings import PostingList
-from .query import (
-    QueryEngine,
-    QueryError,
-    QuerySubscription,
-    compile_subscription,
-    parse_query,
-)
 from .sift import SiftMatcher
 from .vsm import VsmScorer
 
@@ -48,14 +37,5 @@ __all__ = [
     "HomeNodeMatcher",
     "VsmScorer",
     "ScoreKernel",
-    "ScoringPass",
     "DocumentScores",
-    "CsrAccelerator",
-    "CsrPostingBlock",
-    "resolve_backend",
-    "QueryEngine",
-    "QueryError",
-    "QuerySubscription",
-    "parse_query",
-    "compile_subscription",
 ]

@@ -125,14 +125,6 @@ class InvertedIndex:
         #: add/remove so :meth:`stored_replica_count` is O(1) — the
         #: reallocation engine reads it once per holder per refresh.
         self._replica_entries = 0
-        #: Mutation listeners (e.g. the CSR posting-block mirrors of
-        #: :mod:`repro.matching.csr_kernel`).  Each is notified of
-        #: every *effective* posting change — ``posting_added(term,
-        #: slot, filter)`` / ``posting_removed(term, slot)`` /
-        #: ``term_dropped(term)`` — so derived structures stay exact
-        #: without polling.  Usually empty; every notification site is
-        #: behind an ``if self._listeners`` guard.
-        self._listeners: List[object] = []
 
     # -- shape -------------------------------------------------------------
 
@@ -168,17 +160,6 @@ class InvertedIndex:
                 return True
         return False
 
-    def add_listener(self, listener: object) -> None:
-        """Subscribe ``listener`` to posting mutations (see above)."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: object) -> None:
-        """Unsubscribe; unknown listeners are ignored."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
     # -- registration -----------------------------------------------------
 
     def _posting(self, term_id: int, term: Optional[str] = None) -> PostingList:
@@ -202,14 +183,9 @@ class InvertedIndex:
         slot = self.slab.add(profile)
         known = self._indexed_anywhere(slot)
         intern = self.slab.interner.intern
-        listeners = self._listeners
         for term in terms:
-            plist = self._posting(intern(term), term)
-            if plist.add(slot):
+            if self._posting(intern(term), term).add(slot):
                 self._replica_entries += 1
-                if listeners:
-                    for listener in listeners:
-                        listener.posting_added(term, slot, profile)
         if not known:
             self._distinct += 1
         return slot
@@ -229,17 +205,12 @@ class InvertedIndex:
         """
         per_term: Dict[int, Tuple[str, List[int]]] = {}
         new_slots: Set[int] = set()
-        profiles: Optional[Dict[int, Filter]] = (
-            {} if self._listeners else None
-        )
         intern = self.slab.interner.intern
         for profile, indexed_terms in entries:
             terms = _indexed_terms(profile, indexed_terms)
             slot = self.slab.add(profile)
             if slot not in new_slots and not self._indexed_anywhere(slot):
                 new_slots.add(slot)
-            if profiles is not None:
-                profiles[slot] = profile
             for term in terms:
                 term_id = intern(term)
                 bucket = per_term.get(term_id)
@@ -249,19 +220,7 @@ class InvertedIndex:
                 bucket[1].append(slot)
         added = 0
         for term_id, (term, slots) in per_term.items():
-            plist = self._posting(term_id, term)
-            if self._listeners:
-                # Per-slot inserts so each effective add is observable;
-                # final posting state is identical to ``add_many``.
-                for slot in slots:
-                    if plist.add(slot):
-                        added += 1
-                        for listener in self._listeners:
-                            listener.posting_added(
-                                term, slot, profiles[slot]
-                            )
-            else:
-                added += plist.add_many(slots)
+            added += self._posting(term_id, term).add_many(slots)
         self._replica_entries += added
         self._distinct += len(new_slots)
         return added
@@ -275,9 +234,7 @@ class InvertedIndex:
         The reallocation fast path — subset indexes are rebuilt
         straight from home-index postings of the same slab without
         rehydrating any ``Filter``.  ``None`` term-ids index the slot
-        under all of its slab terms.  Listener notifications rehydrate
-        lazily (the CSR mirrors are only attached to matcher-facing
-        indexes).
+        under all of its slab terms.
         """
         per_term: Dict[int, List[int]] = {}
         new_slots: Set[int] = set()
@@ -289,20 +246,8 @@ class InvertedIndex:
             for term_id in term_ids:
                 per_term.setdefault(term_id, []).append(slot)
         added = 0
-        term_of = self.slab.interner.term
         for term_id, slots in per_term.items():
-            plist = self._posting(term_id)
-            if self._listeners:
-                term = term_of(term_id)
-                for slot in slots:
-                    if plist.add(slot):
-                        added += 1
-                        for listener in self._listeners:
-                            listener.posting_added(
-                                term, slot, self.slab.get(slot)
-                            )
-            else:
-                added += plist.add_many(slots)
+            added += self._posting(term_id).add_many(slots)
         self._replica_entries += added
         self._distinct += len(new_slots)
         return added
@@ -314,8 +259,6 @@ class InvertedIndex:
             return False
         removed = False
         postings = self._postings
-        listeners = self._listeners
-        term_of = self.slab.interner.term
         for term_id in self.slab.term_ids(slot):
             plist = postings.get(term_id)
             if plist is None:
@@ -323,10 +266,6 @@ class InvertedIndex:
             if plist.remove(slot):
                 removed = True
                 self._replica_entries -= 1
-                if listeners:
-                    term = term_of(term_id)
-                    for listener in listeners:
-                        listener.posting_removed(term, slot)
             if not plist:
                 del postings[term_id]
         if removed:
@@ -352,9 +291,6 @@ class InvertedIndex:
         if plist is None:
             return []
         self._replica_entries -= len(plist)
-        if self._listeners:
-            for listener in self._listeners:
-                listener.term_dropped(term)
         moved: List[Filter] = []
         for slot in plist:
             profile = self.slab.get(slot)
@@ -450,18 +386,6 @@ class InvertedIndex:
         return [get(slot) for slot in ordered], RetrievalCost(lists, entries)
 
     # -- enumeration --------------------------------------------------------
-
-    def iter_term_postings(self):
-        """Yield ``(term, [(slot, filter), ...])`` per posting list.
-
-        Posting order (ascending slot) is preserved — this is the
-        hydration primitive listeners use to build their initial
-        mirror of the index state.
-        """
-        term_of = self.slab.interner.term
-        get = self.slab.get
-        for term_id, plist in self._postings.items():
-            yield term_of(term_id), [(slot, get(slot)) for slot in plist]
 
     def iter_slot_items(self) -> Iterator[Tuple[int, str]]:
         """Distinct ``(slot, filter_id)`` pairs, posting-walk order."""

@@ -5,28 +5,28 @@ scorer recomputes the document's full tf–idf weight vector and norm
 once per candidate filter, making node-local matching
 O(|d| * |candidates|).  This module is the postings-driven fast path
 that restores the classic Yan & Garcia-Molina score-accumulation
-shape, O(|d| + |candidates|):
+shape:
 
-- the document's weight vector, norm, and suffix masses are computed
-  **once** and memoized — in the pipeline's
+- the document's weight vector and norm are computed **once** and
+  memoized — in the pipeline's
   :class:`~repro.core.pipeline.BatchCaches` when one is active (so a
   batch shares the vector across every node/partition visit), else in
   a single-document slot on the kernel;
-- per-filter dot products accumulate in flat ``array('d')``
-  accumulators keyed by **dense filter slots** while the caller walks
-  the posting lists it already retrieved (:class:`ScoringPass`);
-- per-filter norms (``sqrt(|f|)``) are precomputed in a parallel
-  array, maintained by :meth:`ScoreKernel.register_filter` /
-  :meth:`ScoreKernel.unregister_filter`;
-- the threshold is applied in one pass over the touched slots, with
-  new candidates pruned by the SIFT remaining-mass upper bound (a
+- the kernel keeps no per-filter state: it works in the slab's slot
+  space, reading the index's own posting lists (``array('q')`` of
+  slab slots) and the slab's ``sqrt(|f|)`` norm column;
+- new candidates are pruned by the SIFT remaining-mass upper bound (a
   filter first seen at walk position ``i`` can accumulate at most the
   suffix mass ``sum(weights[i:])``).
 
 Equivalence contract: every score the kernel produces is **bit-for-bit
 identical** to :meth:`~repro.matching.vsm.VsmScorer.similarity`, which
-sums the dot product in document-term order — the same order posting
-walks visit terms and :meth:`ScoreKernel.score` replays.  Because
+sums the dot product in document-term order.  Float addition is not
+associative, so the accumulation pass does *not* use ``np.dot`` /
+``np.add.reduceat`` (NumPy sums pairwise); contributions are stably
+sorted by slot — preserving document-term order within each segment —
+and reduced one contribution rank at a time
+(:func:`_exact_segment_sums`).  Because
 :class:`~repro.matching.vsm.CorpusStatistics` updates IDF online,
 every memoized vector carries the statistics' ``documents_seen`` epoch
 (plus the kernel's registration epoch) and silently invalidates when
@@ -34,21 +34,16 @@ either changes, so observation and matching may interleave freely.
 
 Two consumption modes:
 
-- **accumulation** (:meth:`ScoreKernel.begin` → :class:`ScoringPass`)
-  — for SIFT-style indexes where each filter is indexed under *all*
-  of its terms (``SiftMatcher``, the RS replicas, the Centralized
-  node): walking every document term's posting list touches every
-  shared term of every candidate, so the accumulated dot is exact;
+- **accumulation** (:meth:`ScoreKernel.match_slots`) — for SIFT-style
+  indexes where each filter is indexed under *all* of its terms
+  (``SiftMatcher``, the RS replicas, the Centralized node): one
+  vectorized gather / segment-sum / norm-divide pass over the posting
+  lists of every document term, whose dots are therefore exact;
 - **lookup** (:meth:`ScoreKernel.select` / :meth:`ScoreKernel.score`)
   — for single-term home-node postings (IL, MOVE), where a node's
   lists cover only its own terms: the full dot is gathered from the
   cached document vector in O(|f|) per candidate and memoized per
   (document, filter) so repeated visits across nodes are free.
-
-Filter identity caveat: slots and norms key on ``filter_id``.  Rebind
-an id to a different term set only through the owning system's
-``unregister``/``register`` (which notify the kernel); mutating an
-index behind the kernel's back leaves a stale norm.
 """
 
 from __future__ import annotations
@@ -57,15 +52,22 @@ import math
 from array import array
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
+import numpy as np
+
 from ..model import Document, Filter
-from .csr_kernel import _PRUNE_SLACK, CsrAccelerator, resolve_backend
 from .vsm import VsmScorer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.pipeline import BatchCaches
     from .inverted_index import InvertedIndex
 
-__all__ = ["DocumentScores", "ScoringPass", "ScoreKernel", "_PRUNE_SLACK"]
+__all__ = ["DocumentScores", "ScoreKernel"]
+
+#: Relative slack applied to the remaining-mass prune.  Summation order
+#: can perturb the suffix masses and accumulated dots by a few ULPs
+#: each; the bound is inflated far beyond that noise (but far below any
+#: real score gap) before it is allowed to drop a candidate.
+_PRUNE_SLACK = 1.0 + 1e-9
 
 
 class DocumentScores:
@@ -73,10 +75,11 @@ class DocumentScores:
 
     Holds the tf–idf weights in document-term order (list + position
     map), the Euclidean norm, the suffix masses for the remaining-mass
-    prune, and a per-filter score memo shared by every node visit of
-    the batch.  ``document`` is a strong reference on purpose: memo
-    maps key by ``id(document)``, and pinning the object guarantees
-    the id cannot be recycled while the entry lives.
+    prune (built on first accumulation use), and a per-filter score
+    memo shared by every node visit of the batch.  ``document`` is a
+    strong reference on purpose: memo maps key by ``id(document)``,
+    and pinning the object guarantees the id cannot be recycled while
+    the entry lives.
     """
 
     __slots__ = (
@@ -88,7 +91,6 @@ class DocumentScores:
         "norm",
         "suffix",
         "score_memo",
-        "csr_state",
     )
 
     def __init__(
@@ -111,238 +113,57 @@ class DocumentScores:
         # Same expression (and summation order) as VsmScorer.similarity
         # so the denominator is bit-identical to the naive scorer's.
         self.norm = math.sqrt(sum(w * w for w in weight_map.values()))
-        # suffix[i] = weights[i] + weights[i+1] + ... : the most a
-        # filter first seen at walk position i can still accumulate.
-        suffix = [0.0] * (len(weights) + 1)
-        mass = 0.0
-        for i in range(len(weights) - 1, -1, -1):
-            mass += weights[i]
-            suffix[i] = mass
-        self.suffix = suffix
+        #: suffix[i] = weights[i] + weights[i+1] + ... : the most a
+        #: filter first seen at walk position i can still accumulate.
+        self.suffix: Optional[np.ndarray] = None
         self.score_memo: Dict[str, float] = {}
-        #: Lazily built numpy twin of the vectors above
-        #: (:class:`repro.matching.csr_kernel._DocNumpyState`), owned
-        #: by the CSR backend; riding on this entry means the epoch
-        #: checks that retire the python vectors retire it too.
-        self.csr_state: Optional[object] = None
 
-
-class ScoringPass:
-    """One accumulation pass over the posting lists of one node visit.
-
-    Feed each retrieved posting list through :meth:`accumulate` in
-    document-term order, then read :meth:`matched`.  Stamped
-    accumulators make starting a pass O(1): a slot's accumulated value
-    is valid only while its stamp equals this pass's id, so nothing is
-    ever cleared.
-    """
-
-    __slots__ = ("kernel", "entry", "_pass_id", "_order", "_min_dot")
-
-    def __init__(self, kernel: "ScoreKernel", entry: DocumentScores) -> None:
-        self.kernel = kernel
-        self.entry = entry
-        kernel._pass_id += 1
-        self._pass_id = kernel._pass_id
-        #: (slot, profile) in first-contribution order — the same
-        #: candidate order the naive candidate dict would build.
-        self._order: List[Tuple[int, Filter]] = []
-        # Filter norms are >= 1 (a filter has at least one term), so
-        # threshold * |doc| lower-bounds the dot any match needs.
-        self._min_dot = kernel.threshold * entry.norm
-
-    def accumulate(self, term: str, filters: Iterable[Filter]) -> None:
-        """Fold one term's posting list into the accumulators."""
-        entry = self.entry
-        pos = entry.position.get(term)
-        if pos is None:
-            return  # not a document term: contributes no weight
-        weight = entry.weights[pos]
-        kernel = self.kernel
-        slot_of = kernel._slot_of
-        acc = kernel._acc
-        stamp = kernel._stamp
-        pass_id = self._pass_id
-        # SIFT remaining-mass bound: a candidate admitted here can
-        # accumulate at most suffix[pos]; when even that (with slack
-        # for summation rounding) cannot reach the cheapest possible
-        # threshold dot, new candidates are provably non-matches and
-        # are skipped.  Already-admitted candidates keep accumulating
-        # so their final scores stay exact.
-        admit = entry.suffix[pos] * _PRUNE_SLACK >= self._min_dot
-        order = self._order
-        for profile in filters:
-            slot = slot_of.get(profile.filter_id)
-            if slot is None:
-                slot = kernel._add_slot(
-                    profile, math.sqrt(len(profile.terms))
-                )
-            if stamp[slot] == pass_id:
-                acc[slot] += weight
-            elif admit:
-                stamp[slot] = pass_id
-                acc[slot] = weight
-                order.append((slot, profile))
-
-    def matched(self) -> List[Filter]:
-        """Candidates reaching the threshold, in first-seen order."""
-        entry = self.entry
-        doc_norm = entry.norm
-        if doc_norm == 0.0:
-            return []
-        kernel = self.kernel
-        threshold = kernel.threshold
-        acc = kernel._acc
-        norms = kernel._norms
-        memo = entry.score_memo
-        matched: List[Filter] = []
-        for slot, profile in self._order:
-            score = acc[slot] / (doc_norm * norms[slot])
-            memo[profile.filter_id] = score
-            if score >= threshold:
-                matched.append(profile)
-        return matched
-
-    def scores(self) -> Dict[str, float]:
-        """Exact score of every admitted candidate (diagnostics)."""
-        entry = self.entry
-        if entry.norm == 0.0:
-            return {
-                profile.filter_id: 0.0 for _slot, profile in self._order
-            }
-        kernel = self.kernel
-        acc = kernel._acc
-        norms = kernel._norms
-        return {
-            profile.filter_id: acc[slot] / (entry.norm * norms[slot])
-            for slot, profile in self._order
-        }
+    def suffix_masses(self) -> np.ndarray:
+        """The remaining-mass array, built once per entry."""
+        suffix = self.suffix
+        if suffix is None:
+            weights = self.weights
+            masses = [0.0] * (len(weights) + 1)
+            mass = 0.0
+            for i in range(len(weights) - 1, -1, -1):
+                mass += weights[i]
+                masses[i] = mass
+            suffix = self.suffix = np.array(masses, dtype=np.float64)
+        return suffix
 
 
 class ScoreKernel:
-    """Shared scoring state: dense filter slots, norms, accumulators.
+    """Threshold scoring over slab slots, for one scorer/threshold pair.
 
-    One kernel serves one scorer/threshold pair — typically owned by a
-    :class:`~repro.baselines.base.DisseminationSystem` (all four
-    systems route their threshold semantics through it) or a
-    :class:`~repro.matching.sift.SiftMatcher`.  Construct with
-    ``enabled=False`` — the ``SystemConfig.matching_kernel`` knob,
-    plumbed through every owner — to make the owners fall back to the
-    naive per-candidate scorer (the benchmarks' pre-kernel reference,
-    and the oracle the equivalence suite diffs against).
-    :attr:`enabled` is read-only after construction: the PR 4-era
-    setter (and ``SiftMatcher(use_kernel=)``) made backend dispatch
-    ambiguous and has been removed in favor of the config knobs.
-
-    ``backend`` selects the scoring engine behind the same interface:
-    ``"python"`` (the array('d') accumulators below), ``"csr"`` (the
-    vectorized block engine of :mod:`repro.matching.csr_kernel`), or
-    ``"auto"`` (the same as ``"csr"``).  Both backends produce
-    bit-identical scores; the equivalence suite runs the full matrix.
+    Owned by a :class:`~repro.baselines.base.DisseminationSystem` (all
+    four systems route their threshold semantics through it) or a
+    :class:`~repro.matching.sift.SiftMatcher`.  The kernel holds no
+    per-filter state — norms live in the slab, postings in the index —
+    only the registration epoch that retires memoized scores when a
+    filter id is rebound, and the single-document vector slot.
     """
 
-    __slots__ = (
-        "scorer",
-        "threshold",
-        "backend",
-        "_enabled",
-        "_slot_of",
-        "_norms",
-        "_profiles",
-        "_acc",
-        "_stamp",
-        "_pass_id",
-        "_registration_epoch",
-        "_solo",
-        "_csr",
-    )
+    __slots__ = ("scorer", "threshold", "_registration_epoch", "_solo")
 
-    def __init__(
-        self,
-        scorer: VsmScorer,
-        threshold: float,
-        enabled: bool = True,
-        backend: str = "python",
-    ) -> None:
+    def __init__(self, scorer: VsmScorer, threshold: float) -> None:
         if not 0.0 < threshold <= 1.0:
             raise ValueError(
                 f"threshold must be in (0, 1], got {threshold}"
             )
         self.scorer = scorer
         self.threshold = threshold
-        #: Resolved backend label ("python" or "csr"); "auto" resolves
-        #: at construction so owners can report what actually runs.
-        self.backend = resolve_backend(backend)
-        self._enabled = enabled
-        self._slot_of: Dict[str, int] = {}
-        self._norms = array("d")
-        #: slot -> last registered Filter (parallel to ``_norms``), so
-        #: the CSR backend can map matched slots back to profiles.
-        self._profiles: List[Filter] = []
-        self._acc = array("d")
-        self._stamp = array("q")
-        self._pass_id = 0
         self._registration_epoch = 0
         self._solo: Optional[DocumentScores] = None
-        self._csr: Optional[CsrAccelerator] = (
-            CsrAccelerator(self) if self.backend == "csr" else None
-        )
 
-    @property
-    def enabled(self) -> bool:
-        """Whether accumulation/lookup scoring is active (read-only)."""
-        return self._enabled
-
-    def __len__(self) -> int:
-        """Number of dense filter slots assigned."""
-        return len(self._norms)
-
-    # -- norm maintenance (wired to system register/unregister) ----------
+    # -- registration epoch (wired to system register/unregister) ---------
 
     def register_filter(self, profile: Filter) -> None:
-        """(Re)compute the filter's precomputed norm.
-
-        Re-registering an id reuses its slot, so an id rebound to a
-        different term set gets a fresh ``sqrt(|f|)``.  Bumps the
-        registration epoch, dropping per-document score memos that
-        could mention the id.
-        """
-        norm = math.sqrt(len(profile.terms))
-        slot = self._slot_of.get(profile.filter_id)
-        if slot is None:
-            self._add_slot(profile, norm)
-        else:
-            self._norms[slot] = norm
-            # Rebinding invalidates the CSR backend's cached per-slot
-            # term-id row by identity (it validates against this).
-            self._profiles[slot] = profile
+        """Drop per-document score memos that could mention the id."""
         self._registration_epoch += 1
 
     def unregister_filter(self, filter_id: str) -> None:
-        """Invalidate memoized scores mentioning ``filter_id``.
-
-        The slot and norm stay allocated (dense ids are stable);
-        postings simply stop yielding the filter.
-        """
+        """Drop per-document score memos that could mention the id."""
         self._registration_epoch += 1
-
-    def _add_slot(self, profile: Filter, norm: float) -> int:
-        slot = len(self._norms)
-        self._slot_of[profile.filter_id] = slot
-        self._norms.append(norm)
-        self._profiles.append(profile)
-        self._acc.append(0.0)
-        self._stamp.append(0)
-        return slot
-
-    def _slot_for(self, profile: Filter) -> int:
-        """Dense slot of ``profile``, lazily assigned on first sight."""
-        slot = self._slot_of.get(profile.filter_id)
-        if slot is None:
-            slot = self._add_slot(
-                profile, math.sqrt(len(profile.terms))
-            )
-        return slot
 
     # -- cached document vectors ------------------------------------------
 
@@ -398,42 +219,108 @@ class ScoreKernel:
 
     # -- accumulation mode -------------------------------------------------
 
-    def begin(
-        self, document: Document, caches: Optional["BatchCaches"] = None
-    ) -> ScoringPass:
-        """Start one accumulation pass (one node visit).
-
-        Only valid over indexes that hold each filter under *all* of
-        its terms (the SIFT/RS/Centralized shape) — otherwise the walk
-        misses shared terms and the dot is partial; single-term
-        home-node consumers use :meth:`select` instead.
-        """
-        return ScoringPass(self, self.scores_for(document, caches))
-
-    def bulk_match(
+    def match_slots(
         self,
         document: Document,
         index: "InvertedIndex",
         caches: Optional["BatchCaches"] = None,
-    ) -> Optional[Tuple[List[Filter], int, int]]:
-        """Whole-block accumulation match, when the backend has one.
+    ) -> Tuple[List[int], int, int]:
+        """Threshold-match ``document`` against a whole SIFT index.
 
-        The vectorized twin of a ``begin``/``accumulate``/``matched``
-        posting walk over *all* of the index's document-term lists:
-        returns ``(matched filters in first-seen candidate order,
-        posting lists touched, posting entries scanned)``.  Returns
-        ``None`` on the python backend, so call sites keep one shape::
+        Returns ``(matched slab slots in first-seen candidate order,
+        posting lists touched, posting entries scanned)``; every
+        present document-term list counts one list and its entries,
+        matched or not.  Only valid over indexes that hold each filter
+        under *all* of its terms (the SIFT/RS/Centralized shape) —
+        otherwise the walk misses shared terms and the dot is partial;
+        single-term home-node consumers use :meth:`select` instead.
 
-            bulk = kernel.bulk_match(document, index, caches)
-            if bulk is None:
-                ... per-term ScoringPass walk ...
-
-        The same SIFT-index contract as :meth:`begin` applies: the
-        index must hold each filter under all of its terms.
+        Posting arrays are read through transient zero-copy views that
+        die inside this call: an ``array('q')`` with a live buffer
+        export cannot resize, so none may outlive it.
         """
-        if self._csr is None:
-            return None
-        return self._csr.match_index(document, index, caches)
+        entry = self.scores_for(document, caches)
+        lookup = index.slab.interner.lookup
+        postings = index._postings
+        position = entry.position
+        doc_weights = entry.weights
+        lists = 0
+        entries_scanned = 0
+        rows: List[array] = []
+        weights: List[float] = []
+        positions: List[int] = []
+        lens: List[int] = []
+        for term in document.terms:
+            term_id = lookup(term)
+            plist = postings.get(term_id) if term_id is not None else None
+            if plist is None:
+                continue
+            ids = plist._ids
+            lists += 1
+            entries_scanned += len(ids)
+            pos = position.get(term)
+            if pos is None:
+                continue  # not a scored term: contributes no weight
+            rows.append(ids)
+            weights.append(doc_weights[pos])
+            positions.append(pos)
+            lens.append(len(ids))
+        if not rows or entry.norm == 0.0:
+            return [], lists, entries_scanned
+        cols = np.concatenate(
+            [np.frombuffer(ids, dtype=np.int64) for ids in rows]
+        )
+        lens_arr = np.fromiter(lens, dtype=np.int64, count=len(lens))
+        vals = np.repeat(
+            np.fromiter(weights, dtype=np.float64, count=len(weights)),
+            lens_arr,
+        )
+        # One stable sort by slot groups each candidate's
+        # contributions contiguously while preserving concatenation
+        # order == document-term order within every group — the
+        # canonical summation order of VsmScorer.similarity.
+        order = np.argsort(cols, kind="stable")
+        cols_sorted = cols[order]
+        vals_sorted = vals[order]
+        boundaries = (
+            np.flatnonzero(cols_sorted[1:] != cols_sorted[:-1]) + 1
+        )
+        seg_start = np.empty(boundaries.size + 1, dtype=np.int64)
+        seg_start[0] = 0
+        seg_start[1:] = boundaries
+        seg_len = np.empty_like(seg_start)
+        seg_len[:-1] = np.diff(seg_start)
+        seg_len[-1] = cols_sorted.size - seg_start[-1]
+        # Stable sort → the first element of each segment carries the
+        # smallest concatenation index: the candidate's first-seen
+        # contribution, whose document position drives the
+        # remaining-mass prune (a candidate is admitted once, at its
+        # first contributing term).
+        first_global = order[seg_start]
+        ends = np.cumsum(lens_arr)
+        row_of_first = np.searchsorted(ends, first_global, side="right")
+        first_pos = np.fromiter(
+            positions, dtype=np.int64, count=len(positions)
+        )[row_of_first]
+        min_dot = self.threshold * entry.norm
+        admitted = entry.suffix_masses()[first_pos] * _PRUNE_SLACK >= min_dot
+        if not admitted.any():
+            return [], lists, entries_scanned
+        adm_start = seg_start[admitted]
+        dots = _exact_segment_sums(
+            vals_sorted, adm_start, seg_len[admitted]
+        )
+        adm_slots = cols_sorted[adm_start]
+        norms = np.frombuffer(index.slab._norms, dtype=np.float64)
+        scores = dots / (entry.norm * norms[adm_slots])
+        del norms  # release the buffer export (see docstring)
+        mask = scores >= self.threshold
+        if not mask.any():
+            return [], lists, entries_scanned
+        # Candidate order: ascending first contribution.
+        sel_first = first_global[admitted][mask]
+        matched = adm_slots[mask][np.argsort(sel_first)]
+        return matched.tolist(), lists, entries_scanned
 
     # -- lookup mode ---------------------------------------------------------
 
@@ -445,13 +332,10 @@ class ScoreKernel:
     ) -> List[Filter]:
         """Candidates reaching the threshold (input order preserved).
 
-        Lookup mode is backend-independent by design: per-candidate
-        dots over 2–3-term filters are a handful of dict probes each,
-        which the measured numbers say no batched gather can beat
-        (building per-candidate index arrays costs more than the dots
-        themselves), so both backends share this memoized scalar loop
-        and the CSR backend accelerates the block-shaped accumulation
-        mode (:meth:`bulk_match`) where vectorization has leverage.
+        Per-candidate dots over 2–3-term filters are a handful of dict
+        probes each, which no batched gather beats (building
+        per-candidate index arrays costs more than the dots
+        themselves), so lookup mode is a memoized scalar loop.
         """
         entry = self.scores_for(document, caches)
         threshold = self.threshold
@@ -487,8 +371,9 @@ class ScoreKernel:
 
         The dot sums the shared terms' weights in ascending document
         position — the exact addition sequence of the canonical
-        ``VsmScorer.similarity`` loop and of a posting-walk
-        accumulation, so all three agree bit-for-bit.
+        ``VsmScorer.similarity`` loop and of the accumulation pass, so
+        all three agree bit-for-bit.  The filter norm is the same
+        ``sqrt(|f|)`` expression the slab's norm column stores.
         """
         doc_norm = entry.norm
         if doc_norm == 0.0:
@@ -505,5 +390,27 @@ class ScoreKernel:
             weights = entry.weights
             for pos in hits:
                 dot += weights[pos]
-        slot = self._slot_for(profile)
-        return dot / (doc_norm * self._norms[slot])
+        return dot / (doc_norm * math.sqrt(len(profile.terms)))
+
+
+def _exact_segment_sums(
+    vals_sorted: np.ndarray,
+    seg_start: np.ndarray,
+    seg_len: np.ndarray,
+) -> np.ndarray:
+    """Sequential left-to-right sum of each contiguous segment.
+
+    The "rounds" reduction: round ``r`` adds every segment's ``r``-th
+    element into its running total, so each segment's additions happen
+    strictly in element order — the same non-associative float
+    addition sequence a python ``for`` loop performs, unlike
+    ``np.add.reduceat``/``np.sum`` (pairwise).  Rounds are bounded by
+    the longest segment (≤ the document's term count), so the loop is
+    a handful of vectorized adds.
+    """
+    dots = vals_sorted[seg_start].astype(np.float64, copy=True)
+    max_len = int(seg_len.max())
+    for r in range(1, max_len):
+        active = seg_len > r
+        dots[active] += vals_sorted[seg_start[active] + r]
+    return dots

@@ -9,32 +9,23 @@ threshold extension SIFT accumulates per-filter scores from the lists
 and applies the threshold at the end — both modes are provided.
 
 Threshold matching runs through the score-accumulation kernel
-(:mod:`repro.matching.kernel`) by default; pass a
-``SystemConfig(matching_kernel=False)`` as ``config`` for the naive
-score-per-candidate reference implementation the equivalence tests
-diff against.  ``SystemConfig.matching_backend`` likewise selects the
-kernel's scoring engine (the vectorized CSR block engine of
-:mod:`repro.matching.csr_kernel` when available, or the pure-python
-accumulators); the pre-config ``use_kernel=`` keyword and its
-deprecated read shim have both been removed — inspect
-:attr:`SiftMatcher.kernel` instead.
-Accumulation is exact here because a ``SiftMatcher``'s index holds
-each filter under **all** of its terms (the SIFT index contract), so
-walking every document term's posting list touches every shared term
-of every candidate.
+(:meth:`repro.matching.kernel.ScoreKernel.match_slots`), which reads
+the index's posting arrays of slab slots directly; matched slots are
+rehydrated into ``Filter`` objects only here, at the matcher's public
+boundary.  Accumulation is exact because a ``SiftMatcher``'s index
+holds each filter under **all** of its terms (the SIFT index
+contract), so walking every document term's posting list touches
+every shared term of every candidate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple
 
 from ..model import Document, Filter
 from .inverted_index import InvertedIndex, RetrievalCost
 from .kernel import ScoreKernel
 from .vsm import VsmScorer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import SystemConfig
 
 
 class SiftMatcher:
@@ -45,25 +36,16 @@ class SiftMatcher:
         index: InvertedIndex,
         scorer: Optional[VsmScorer] = None,
         threshold: Optional[float] = None,
-        config: Optional["SystemConfig"] = None,
     ) -> None:
         if (scorer is None) != (threshold is None):
             raise ValueError(
                 "scorer and threshold must be supplied together"
             )
-        kernel_enabled = (
-            config.matching_kernel if config is not None else True
-        )
-        backend = (
-            config.matching_backend if config is not None else "auto"
-        )
         self.index = index
         self.scorer = scorer
         self.threshold = threshold
         self.kernel: Optional[ScoreKernel] = (
-            ScoreKernel(scorer, threshold, backend=backend)
-            if scorer is not None and kernel_enabled
-            else None
+            ScoreKernel(scorer, threshold) if scorer is not None else None
         )
 
     def match(
@@ -75,67 +57,10 @@ class SiftMatcher:
         what makes flooding expensive for large articles and is exactly
         the work the cost model charges the rendezvous baseline.
         """
-        if self.scorer is None:
+        if self.kernel is None:
             return self.index.match_document_all_terms(document)
-        if self.kernel is not None and self.kernel.enabled:
-            return self._match_threshold_kernel(document)
-        return self._match_threshold_reference(document)
-
-    def _match_threshold(
-        self, document: Document
-    ) -> Tuple[List[Filter], RetrievalCost]:
-        """Score-accumulating SIFT for threshold semantics."""
-        assert self.scorer is not None and self.threshold is not None
-        if self.kernel is not None and self.kernel.enabled:
-            return self._match_threshold_kernel(document)
-        return self._match_threshold_reference(document)
-
-    def _match_threshold_kernel(
-        self, document: Document
-    ) -> Tuple[List[Filter], RetrievalCost]:
-        """Kernel path: one accumulation pass over the posting walk.
-
-        On the CSR backend the whole walk collapses into one
-        vectorized block match; costs and matches are bit-identical
-        either way.
-        """
-        bulk = self.kernel.bulk_match(document, self.index)
-        if bulk is not None:
-            matched, lists, entries = bulk
-            return matched, RetrievalCost(lists, entries)
-        scoring = self.kernel.begin(document)
-        lists = 0
-        entries = 0
-        index = self.index
-        for term in document.terms:
-            plist = index.posting_list(term)
-            if plist is None:
-                continue
-            lists += 1
-            entries += len(plist)
-            filters, _ = index.filters_for_term(term)
-            scoring.accumulate(term, filters)
-        return scoring.matched(), RetrievalCost(lists, entries)
-
-    def _match_threshold_reference(
-        self, document: Document
-    ) -> Tuple[List[Filter], RetrievalCost]:
-        """Naive score-per-candidate reference (the kernel's oracle)."""
-        lists = 0
-        entries = 0
-        candidates: Dict[str, Filter] = {}
-        for term in document.terms:
-            plist = self.index.posting_list(term)
-            if plist is None:
-                continue
-            lists += 1
-            entries += len(plist)
-            filters, _ = self.index.filters_for_term(term)
-            for profile in filters:
-                candidates[profile.filter_id] = profile
-        matched = [
-            profile
-            for profile in candidates.values()
-            if self.scorer.similarity(document, profile) >= self.threshold
-        ]
-        return matched, RetrievalCost(lists, entries)
+        slots, lists, entries = self.kernel.match_slots(
+            document, self.index
+        )
+        get = self.index.slab.get
+        return [get(slot) for slot in slots], RetrievalCost(lists, entries)

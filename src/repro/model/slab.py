@@ -84,7 +84,8 @@ class FilterSlabStore:
     - ``_starts[slot]`` / ``_lengths[slot]`` — the filter's run inside
       the shared ``_term_ids`` buffer;
     - ``_norms[slot]`` — precomputed ``sqrt(|f|)`` (the VSM filter
-      norm, so scoring paths never need the object);
+      norm the scoring kernel's accumulation pass reads, so scoring
+      never needs the object);
     - ``_filter_ids[slot]`` — the external string id (``None`` while
       the slot sits on the free list);
     - ``_owners`` — sparse: only filters whose owner differs from
@@ -290,8 +291,8 @@ class FilterSlabStore:
 
         The rehydrated object is ``==`` the originally registered one
         and re-interns to the same term-ids; identity is *not*
-        preserved, which no consumer relies on (postings hold slots,
-        the kernel keys on ``filter_id``).
+        preserved, which no consumer relies on (postings and the
+        scoring kernel work in slots; score memos key on ``filter_id``).
         """
         cached = self._hydrated.get(slot)
         if cached is not None:

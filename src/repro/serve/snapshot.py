@@ -27,7 +27,9 @@ directory fsync: a crash mid-write leaves a ``.tmp`` orphan, never a
 half-valid ``.snap``.
 
 Format history: 1 — filters as per-object ``InvertedIndex`` dicts;
-2 — filters in the columnar slab, postings of slab slots.
+2 — filters in the columnar slab, postings of slab slots; 3 — the
+scoring kernel keeps no per-filter slots, norms or profiles, and
+indexes carry no mutation listeners.
 
 Any validation failure loads as :class:`~repro.errors.SnapshotError`;
 callers treat that snapshot as nonexistent and fall back to the next
@@ -45,7 +47,7 @@ from typing import List, Tuple, Union
 from ..errors import SnapshotError
 
 #: Snapshot format this build writes and reads (see the module doc).
-FORMAT = 2
+FORMAT = 3
 _MAGIC_PREFIX = b"MVSNAP"
 _MAGIC = _MAGIC_PREFIX + str(FORMAT).encode() + b"\n"
 _HEADER = struct.Struct("<QII")

@@ -1,0 +1,83 @@
+"""Test-only reference implementations the optimized paths diff against.
+
+:func:`naive_threshold_twin` rebuilds any dissemination system as a
+twin that scores every term-sharing candidate with the naive
+``VsmScorer.similarity(d, f) >= threshold`` loop.  It does so by
+overriding ``_apply_semantics``: every scheme detects an override and
+routes all candidates through its candidate-dedup path (see
+``DisseminationSystem._kernel_accumulates``), so the twin runs the
+pre-kernel program — routing, RNG draws and cost accounting unchanged,
+only the scoring replaced.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, List, Tuple, Type
+
+from repro.baselines.base import DisseminationSystem
+from repro.matching.inverted_index import InvertedIndex, RetrievalCost
+from repro.matching.vsm import VsmScorer
+from repro.model import Document, Filter
+
+_NAIVE_CLASSES: Dict[type, Type[DisseminationSystem]] = {}
+
+
+def _naive_apply_semantics(
+    self, document: Document, filters: Iterable[Filter]
+) -> List[Filter]:
+    threshold = self.threshold
+    scorer = self._scorer
+    return [
+        profile
+        for profile in filters
+        if scorer.similarity(document, profile) >= threshold
+    ]
+
+
+def naive_threshold_twin(system: DisseminationSystem) -> DisseminationSystem:
+    """Switch ``system`` (in place) onto the naive per-candidate scorer.
+
+    Call before registering anything; the system must have been built
+    with a threshold.
+    """
+    if system.threshold is None:
+        raise ValueError("the naive twin needs a threshold system")
+    cls = type(system)
+    naive_cls = _NAIVE_CLASSES.get(cls)
+    if naive_cls is None:
+        naive_cls = type(
+            f"Naive{cls.__name__}",
+            (cls,),
+            {"_apply_semantics": _naive_apply_semantics},
+        )
+        _NAIVE_CLASSES[cls] = naive_cls
+    system.__class__ = naive_cls
+    return system
+
+
+def brute_force_sift(
+    index: InvertedIndex,
+    scorer: VsmScorer,
+    threshold: float,
+    document: Document,
+) -> Tuple[List[Filter], RetrievalCost]:
+    """SIFT by brute force: dedup candidates, score each one naively.
+
+    Candidates keep first-appearance order over the document's terms;
+    every present posting list costs one list and its entries.
+    """
+    lists = 0
+    entries = 0
+    candidates: Dict[str, Filter] = {}
+    for term in document.terms:
+        filters, cost = index.filters_for_term(term)
+        lists += cost.posting_lists
+        entries += cost.posting_entries
+        for profile in filters:
+            candidates.setdefault(profile.filter_id, profile)
+    matched = [
+        profile
+        for profile in candidates.values()
+        if scorer.similarity(document, profile) >= threshold
+    ]
+    return matched, RetrievalCost(lists, entries)

@@ -50,7 +50,7 @@ class TestInvertedList:
         cluster = Cluster(config.cluster)
         system = InvertedListSystem(cluster, config)
         profile = Filter.from_terms("f", ["apple", "banana"])
-        system.register(profile)
+        system.subscribe(profile)
         homes = {system.home_of("apple"), system.home_of("banana")}
         for home in homes:
             index = system.index_of(home)
@@ -66,14 +66,14 @@ class TestInvertedList:
         config = _config()
         cluster = Cluster(config.cluster)
         system = InvertedListSystem(cluster, config)
-        system.register(Filter.from_terms("f", ["a", "b", "c"]))
+        system.subscribe(Filter.from_terms("f", ["a", "b", "c"]))
         assert sum(system.storage_distribution().values()) == 3
 
     def test_tasks_grouped_per_home_node(self):
         config = _config()
         cluster = Cluster(config.cluster)
         system = InvertedListSystem(cluster, config)
-        system.register(Filter.from_terms("f", ["a", "b"]))
+        system.subscribe(Filter.from_terms("f", ["a", "b"]))
         plan = system.publish(Document.from_terms("d", ["a", "b"]))
         node_ids = [task.node_id for task in plan.tasks]
         assert len(node_ids) == len(set(node_ids))
@@ -82,7 +82,7 @@ class TestInvertedList:
         config = _config()
         cluster = Cluster(config.cluster)
         system = InvertedListSystem(cluster, config)
-        system.register(Filter.from_terms("f", ["registered"]))
+        system.subscribe(Filter.from_terms("f", ["registered"]))
         doc = Document.from_terms(
             "d", ["registered"] + [f"junk{i}" for i in range(50)]
         )
@@ -97,7 +97,7 @@ class TestRendezvous:
         cluster = Cluster(config.cluster)
         system = RendezvousSystem(cluster, config)
         assert system.partition_level == 3
-        system.register(Filter.from_terms("f", ["x"]))
+        system.subscribe(Filter.from_terms("f", ["x"]))
         # Filter lands on every replica of its partition (9/3 = 3).
         stored = [v for v in system.storage_distribution().values() if v]
         assert sum(stored) == 3
@@ -106,7 +106,7 @@ class TestRendezvous:
         config = _config(num_nodes=8)
         cluster = Cluster(config.cluster)
         system = RendezvousSystem(cluster, config, partition_level=4)
-        system.register(Filter.from_terms("f", ["x"]))
+        system.subscribe(Filter.from_terms("f", ["x"]))
         plan = system.publish(Document.from_terms("d", ["anything"]))
         # Blind flooding: one task per partition even with no matches.
         assert len(plan.tasks) == 4
@@ -116,7 +116,7 @@ class TestRendezvous:
         cluster = Cluster(config.cluster)
         system = RendezvousSystem(cluster, config, partition_level=4)
         for i in range(400):
-            system.register(Filter.from_terms(f"f{i}", [f"t{i}"]))
+            system.subscribe(Filter.from_terms(f"f{i}", [f"t{i}"]))
         storage = [
             v for v in system.storage_distribution().values() if v
         ]
@@ -127,7 +127,7 @@ class TestRendezvous:
         cluster = Cluster(config.cluster)
         system = RendezvousSystem(cluster, config, partition_level=1)
         for i in range(20):
-            system.register(Filter.from_terms(f"f{i}", [f"t{i}"]))
+            system.subscribe(Filter.from_terms(f"f{i}", [f"t{i}"]))
         small = system.publish(Document.from_terms("d1", ["t0"]))
         large = system.publish(
             Document.from_terms("d2", [f"t{i}" for i in range(20)])

@@ -37,7 +37,7 @@ def test_rolling_chaos_preserves_contract(tiny_workload, seed):
     )
     cluster = Cluster(config.cluster)
     system = MoveSystem(cluster, config)
-    system.register_all(filters[:80])
+    system.subscribe(filters[:80])
     system.seed_frequencies(documents[:10])
     system.finalize_registration()
 
@@ -55,17 +55,17 @@ def test_rolling_chaos_preserves_contract(tiny_workload, seed):
         elif action < 0.30 and failed:
             cluster.recover_node(failed.pop())
         elif action < 0.40 and spare_filters:
-            system.register(spare_filters.pop())
-        elif action < 0.50 and len(system.registered_filters) > 10:
+            system.subscribe(spare_filters.pop())
+        elif action < 0.50 and len(system.subscriptions()) > 10:
             victim_id = rng.choice(
-                sorted(system.registered_filters)
+                sorted(system.subscriptions())
             )
             system.unregister(victim_id)
         elif action < 0.55:
             system.reallocate()
 
         plan = system.publish(document)
-        oracle = _oracle_ids(document, system.registered_filters)
+        oracle = _oracle_ids(document, system.subscriptions())
         # Contract: no spurious matches; losses accounted.
         assert plan.matched_filter_ids <= oracle
         assert (oracle - plan.matched_filter_ids) <= (
@@ -79,6 +79,6 @@ def test_rolling_chaos_preserves_contract(tiny_workload, seed):
     for document in documents[:10]:
         plan = system.publish(document)
         assert plan.matched_filter_ids == _oracle_ids(
-            document, system.registered_filters
+            document, system.subscriptions()
         )
         assert not plan.unreachable_filter_ids

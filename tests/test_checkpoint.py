@@ -17,6 +17,7 @@ import pytest
 
 from repro.cluster.storage import _list_segments
 from repro.errors import SnapshotError, WalCorruptionError, WalError
+from repro.experiments.harness import build_cluster, make_system
 from repro.model import Document
 from repro.serve.journal import JournaledSystem
 from repro.serve.snapshot import (
@@ -151,6 +152,61 @@ def test_recovery_across_snapshot_boundary_is_bit_identical(
     recovered.close()
 
 
+@pytest.mark.parametrize("scheme", ["move", "il", "rs", "central"])
+def test_threshold_recovery_from_snapshot_is_bit_identical(
+    tmp_path, scheme
+):
+    """A threshold node checkpointed mid-churn and recovered from the
+    snapshot plus the WAL tail equals an uncrashed twin: the pickled
+    scoring state (kernel epochs, slab norms, posting arrays) carries
+    everything the next plans depend on."""
+    seed = 5
+    ops = [
+        op
+        for op in _make_ops(seed, count=40)
+        if scheme == "move" or op[0] != "reallocate"
+    ]
+    assert {"subscribe", "publish_batch", "unregister"} <= {
+        method for method, _args in ops
+    }
+    journal = JournaledSystem(
+        tmp_path, scheme=scheme, num_nodes=4, seed=seed, threshold=0.12
+    )
+    cut = len(ops) // 2
+    _apply(journal, ops[:cut])
+    checkpoint = journal.checkpoint()
+    _apply(journal, ops[cut:])
+    recovered = JournaledSystem(tmp_path)  # crash: abandon, reopen
+    assert recovered.recovered_from_snapshot_lsn == checkpoint["lsn"]
+    cluster, config = build_cluster(4, 2_000, seed=seed)
+    twin = make_system(scheme, cluster, config, threshold=0.12)
+    _apply(twin, ops)
+    ours, theirs = recovered.system, twin
+    assert ours.storage_distribution() == theirs.storage_distribution()
+    assert (
+        ours.metrics.load("storage_replicas").as_dict()
+        == theirs.metrics.load("storage_replicas").as_dict()
+    )
+    probe_rng = random.Random(0xBEEF)
+    probes = [
+        Document.from_terms(f"probe{i}", probe_rng.choices(_VOCAB, k=10))
+        for i in range(8)
+    ]
+    matched = 0
+    for mine, twins in zip(
+        ours.publish_batch(probes), theirs.publish_batch(probes)
+    ):
+        assert mine.matched_filter_ids == twins.matched_filter_ids
+        assert mine.unreachable_filter_ids == twins.unreachable_filter_ids
+        assert mine.routing_messages == twins.routing_messages
+        assert mine.tasks == twins.tasks
+        matched += len(mine.matched_filter_ids)
+    assert matched > 0  # the threshold admits real matches
+    if hasattr(theirs, "_rng"):
+        assert ours._rng.getstate() == theirs._rng.getstate()
+    recovered.close()
+
+
 def test_double_checkpoint_without_new_records(tmp_path):
     journal = _journal(tmp_path, seed=1)
     _apply(journal, _make_ops(1, count=10))
@@ -255,32 +311,41 @@ def test_corrupt_newest_snapshot_falls_back_to_older_plus_tail(
 # Snapshots written by an older build
 # ---------------------------------------------------------------------------
 
-#: What ``load_snapshot`` says about a format-1 file.
-_FORMAT_1_REFUSAL = (
-    "snapshot format 1 was written by an older build; "
-    "this build reads format 2"
-)
+#: Formats an older build wrote; this one must refuse each by name.
+OLD_FORMATS = [1, 2]
 
 
-def _as_format_1(path):
-    """Rewrite a snapshot's header as format 1, leaving the framed
-    lsn, length, CRC and pickle intact — a file an older build would
-    have loaded (and this one must not)."""
-    path.write_bytes(b"MVSNAP1\n" + path.read_bytes()[len(_MAGIC):])
+def _refusal(found):
+    """What ``load_snapshot`` says about a file of an older format."""
+    return (
+        f"snapshot format {found} was written by an older build; "
+        "this build reads format 3"
+    )
 
 
-def test_format_1_snapshot_is_refused_by_name(tmp_path):
+def _as_format(path, found):
+    """Rewrite a snapshot's header as format ``found``, leaving the
+    framed lsn, length, CRC and pickle intact — a file an older build
+    would have loaded (and this one must not)."""
+    path.write_bytes(
+        b"MVSNAP%d\n" % found + path.read_bytes()[len(_MAGIC):]
+    )
+
+
+@pytest.mark.parametrize("found", OLD_FORMATS)
+def test_format_snapshot_is_refused_by_name(tmp_path, found):
     path = write_snapshot(tmp_path, 7, b"payload")
-    _as_format_1(path)
+    _as_format(path, found)
     with pytest.raises(SnapshotError) as refused:
         load_snapshot(path)
-    assert str(refused.value) == f"{path.name}: {_FORMAT_1_REFUSAL}"
+    assert str(refused.value) == f"{path.name}: {_refusal(found)}"
     path.write_bytes(b"MVSNAP9\n" + path.read_bytes()[len(_MAGIC):])
     with pytest.raises(SnapshotError, match="format 9 was written by a newer"):
         load_snapshot(path)
 
 
-def test_format_1_snapshot_with_full_wal_recovers_by_replay(tmp_path):
+@pytest.mark.parametrize("found", OLD_FORMATS)
+def test_format_snapshot_with_full_wal_recovers_by_replay(tmp_path, found):
     """An old-format snapshot over an untruncated WAL: skipped with its
     reason, and full replay reaches the uncrashed twin's state."""
     seed = 6
@@ -289,16 +354,16 @@ def test_format_1_snapshot_with_full_wal_recovers_by_replay(tmp_path):
     _apply(journal, ops[:14])
     journal._writer.sync()
     # A committed snapshot whose checkpoint never truncated the WAL
-    # (the crash-matrix "snapshot" cut point), rewritten as format 1.
+    # (the crash-matrix "snapshot" cut point), rewritten as old.
     snapshot = write_snapshot(
         tmp_path, journal.last_applied_lsn, journal._pickle_state()
     )
-    _as_format_1(snapshot)
+    _as_format(snapshot, found)
     _apply(journal, ops[14:])
     recovered = JournaledSystem(tmp_path)
     assert recovered.snapshots_skipped == 1
     assert recovered.snapshot_skip_reasons == [
-        f"{snapshot.name}: {_FORMAT_1_REFUSAL}"
+        f"{snapshot.name}: {_refusal(found)}"
     ]
     assert recovered.recovered_from_snapshot_lsn is None
     twin = _twin(seed)
@@ -307,13 +372,14 @@ def test_format_1_snapshot_with_full_wal_recovers_by_replay(tmp_path):
     recovered.close()
 
 
-def test_format_1_snapshot_over_truncated_wal_refuses_to_boot(tmp_path):
+@pytest.mark.parametrize("found", OLD_FORMATS)
+def test_format_snapshot_over_truncated_wal_refuses_to_boot(tmp_path, found):
     journal = _journal(tmp_path, seed=1)
     _apply(journal, _make_ops(1, count=12))
     journal.checkpoint()  # truncates every segment below the snapshot
     journal.close()
     (snapshot,) = list_snapshots(tmp_path)
-    _as_format_1(snapshot)
+    _as_format(snapshot, found)
     with pytest.raises(WalError, match="truncated journal"):
         JournaledSystem(tmp_path)
 

@@ -108,7 +108,7 @@ def test_failover_mid_stream_preserves_routing():
     filters = [
         Filter.from_terms(f"f{i}", ["hot", f"x{i}"]) for i in range(40)
     ]
-    system.register_all(filters)
+    system.subscribe(filters)
     system.seed_frequencies(
         [Document.from_terms("s", ["hot"]) for _ in range(5)]
     )

@@ -19,9 +19,9 @@ def service():
         seed=1,
     )
     system = InvertedListSystem(Cluster(config.cluster), config)
-    system.register(Filter.from_terms("f1", ["cloud"], owner="alice"))
-    system.register(Filter.from_terms("f2", ["storm"], owner="alice"))
-    system.register(Filter.from_terms("f3", ["cloud"], owner="bob"))
+    system.subscribe(Filter.from_terms("f1", ["cloud"], owner="alice"))
+    system.subscribe(Filter.from_terms("f2", ["storm"], owner="alice"))
+    system.subscribe(Filter.from_terms("f3", ["cloud"], owner="bob"))
     return DeliveryService(system)
 
 

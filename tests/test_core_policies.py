@@ -29,7 +29,7 @@ class TestProactivePolicy:
     def test_allocates_before_publication(self, tiny_workload):
         filters, documents = tiny_workload
         system = _system()
-        system.register_all(filters)
+        system.subscribe(filters)
         policy = ProactivePolicy()
         policy.prepare(system, documents[:10])
         assert system.plan is not None and system.plan.tables
@@ -38,7 +38,7 @@ class TestProactivePolicy:
     def test_periodic_refresh(self, tiny_workload):
         filters, documents = tiny_workload
         system = _system()
-        system.register_all(filters)
+        system.subscribe(filters)
         policy = ProactivePolicy(refresh_every=5)
         report = run_policy(
             policy, system, documents[:10], documents[:20]
@@ -55,7 +55,7 @@ class TestPassivePolicy:
     def test_no_allocation_during_learning(self, tiny_workload):
         filters, documents = tiny_workload
         system = _system()
-        system.register_all(filters)
+        system.subscribe(filters)
         policy = PassivePolicy(learn_documents=10)
         policy.prepare(system, documents[:10])
         assert system.plan is None
@@ -67,7 +67,7 @@ class TestPassivePolicy:
     def test_allocates_after_learning(self, tiny_workload):
         filters, documents = tiny_workload
         system = _system()
-        system.register_all(filters)
+        system.subscribe(filters)
         policy = PassivePolicy(learn_documents=5)
         for index, document in enumerate(documents[:10], start=1):
             system.publish(document)
@@ -78,7 +78,7 @@ class TestPassivePolicy:
     def test_completeness_through_transition(self, tiny_workload):
         filters, documents = tiny_workload
         system = _system()
-        system.register_all(filters)
+        system.subscribe(filters)
         policy = PassivePolicy(learn_documents=5)
         for index, document in enumerate(documents[:15], start=1):
             plan = system.publish(document)
@@ -97,7 +97,7 @@ class TestRunPolicy:
     def test_report_fields(self, tiny_workload):
         filters, documents = tiny_workload
         system = _system()
-        system.register_all(filters)
+        system.subscribe(filters)
         report = run_policy(
             ProactivePolicy(), system, documents[:10], documents[:20]
         )
@@ -127,12 +127,12 @@ class TestRunPolicy:
             for i in range(40)
         ]
         proactive_system = _system()
-        proactive_system.register_all(filters)
+        proactive_system.subscribe(filters)
         proactive = run_policy(
             ProactivePolicy(), proactive_system, offline, stream
         )
         passive_system = _system()
-        passive_system.register_all(filters)
+        passive_system.subscribe(filters)
         passive = run_policy(
             PassivePolicy(learn_documents=20),
             passive_system,
@@ -147,7 +147,7 @@ class TestRunPolicy:
     def test_invalid_warmup_fraction(self, tiny_workload):
         filters, documents = tiny_workload
         system = _system()
-        system.register_all(filters)
+        system.subscribe(filters)
         with pytest.raises(ValueError):
             run_policy(
                 ProactivePolicy(),

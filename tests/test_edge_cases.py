@@ -33,7 +33,7 @@ class TestSingleNodeCluster:
     def test_all_schemes_work_on_one_node(self, scheme_cls):
         config = _config(num_nodes=1)
         system = scheme_cls(Cluster(config.cluster), config)
-        system.register(Filter.from_terms("f", ["x"]))
+        system.subscribe(Filter.from_terms("f", ["x"]))
         system.finalize_registration()
         plan = system.publish(Document.from_terms("d", ["x", "y"]))
         assert plan.matched_filter_ids == {"f"}
@@ -43,7 +43,7 @@ class TestSingleNodeCluster:
         # No candidate nodes besides the home: graceful degeneration.
         config = _config(num_nodes=1)
         system = MoveSystem(Cluster(config.cluster), config)
-        system.register(Filter.from_terms("f", ["x"]))
+        system.subscribe(Filter.from_terms("f", ["x"]))
         system.seed_frequencies([Document.from_terms("s", ["x"])])
         system.finalize_registration()
         assert not system.plan.tables
@@ -56,7 +56,7 @@ class TestDegenerateDocuments:
     def system(self):
         config = _config(num_nodes=4, num_racks=2)
         system = InvertedListSystem(Cluster(config.cluster), config)
-        system.register(Filter.from_terms("f", ["alpha"]))
+        system.subscribe(Filter.from_terms("f", ["alpha"]))
         return system
 
     def test_single_term_document(self, system):
@@ -90,7 +90,7 @@ class TestExtremeFilters:
         config = _config(num_nodes=4, num_racks=2)
         system = MoveSystem(Cluster(config.cluster), config)
         wide = Filter.from_terms("wide", [f"t{i}" for i in range(50)])
-        system.register(wide)
+        system.subscribe(wide)
         system.finalize_registration()
         plan = system.publish(Document.from_terms("d", ["t17"]))
         assert plan.matched_filter_ids == {"wide"}
@@ -98,8 +98,8 @@ class TestExtremeFilters:
     def test_identical_term_sets_different_ids(self):
         config = _config(num_nodes=4, num_racks=2)
         system = InvertedListSystem(Cluster(config.cluster), config)
-        system.register(Filter.from_terms("a", ["x", "y"]))
-        system.register(Filter.from_terms("b", ["x", "y"]))
+        system.subscribe(Filter.from_terms("a", ["x", "y"]))
+        system.subscribe(Filter.from_terms("b", ["x", "y"]))
         plan = system.publish(Document.from_terms("d", ["x"]))
         assert plan.matched_filter_ids == {"a", "b"}
 
@@ -110,7 +110,7 @@ class TestExtremeFilters:
         filters = [
             Filter.from_terms(f"f{i}", ["hot"]) for i in range(500)
         ]
-        system.register_all(filters)
+        system.subscribe(filters)
         system.seed_frequencies(
             [Document.from_terms("s", ["hot"])]
         )
@@ -146,7 +146,7 @@ class TestOracleAgreementOnEdgeCases:
             Filter.from_terms(f"f{i}", ["common", f"rare{i}"])
             for i in range(30)
         ]
-        system.register_all(filters)
+        system.subscribe(filters)
         system.seed_frequencies(
             [Document.from_terms("s", ["common"])]
         )

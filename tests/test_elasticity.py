@@ -29,7 +29,7 @@ class TestILRebalance:
         config = _config()
         cluster = Cluster(config.cluster)
         system = InvertedListSystem(cluster, config)
-        system.register_all(filters)
+        system.subscribe(filters)
         return system, cluster
 
     def test_join_then_rebalance_restores_invariant(self, tiny_workload):
@@ -94,7 +94,7 @@ class TestMoveRebalance:
         config = _config()
         cluster = Cluster(config.cluster)
         system = MoveSystem(cluster, config)
-        system.register_all(filters)
+        system.subscribe(filters)
         system.seed_frequencies(documents[:10])
         system.finalize_registration()
         cluster.add_node()
@@ -116,7 +116,7 @@ class TestMoveRebalance:
         config = _config(num_nodes=4)
         cluster = Cluster(config.cluster)
         system = MoveSystem(cluster, config)
-        system.register_all(filters)
+        system.subscribe(filters)
         system.seed_frequencies(documents[:10])
         system.finalize_registration()
         new_node = cluster.add_node()

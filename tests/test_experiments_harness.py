@@ -107,7 +107,7 @@ class TestHarnessRun:
                 workload.num_nodes, workload.node_capacity, seed=0
             )
             system = make_system("IL", cluster, config)
-            system.register_all(bundle.filters)
+            system.subscribe(bundle.filters)
             system.finalize_registration()
             harness = ClusterThroughputHarness(
                 system,

@@ -39,7 +39,7 @@ def _build(scheme, filters, seed_docs):
         system = InvertedListSystem(cluster, config)
     else:
         system = RendezvousSystem(cluster, config)
-    system.register_all(filters)
+    system.subscribe(filters)
     if scheme == "move":
         system.seed_frequencies(seed_docs)
     system.finalize_registration()

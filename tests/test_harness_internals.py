@@ -29,7 +29,7 @@ def harness():
         WORKLOAD.num_nodes, WORKLOAD.node_capacity, seed=0
     )
     system = make_system("Move", cluster, config)
-    system.register_all(bundle.filters)
+    system.subscribe(bundle.filters)
     system.seed_frequencies(bundle.offline_corpus())
     system.finalize_registration()
     return (

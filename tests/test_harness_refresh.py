@@ -29,7 +29,7 @@ def _harness(refresh_interval):
         WORKLOAD.num_nodes, WORKLOAD.node_capacity, seed=0
     )
     system = make_system("Move", cluster, config)
-    system.register_all(bundle.filters)
+    system.subscribe(bundle.filters)
     system.seed_frequencies(bundle.offline_corpus())
     system.finalize_registration()
     return (
@@ -69,7 +69,7 @@ def test_refresh_is_noop_for_baselines():
         WORKLOAD.num_nodes, WORKLOAD.node_capacity, seed=0
     )
     system = make_system("IL", cluster, config)
-    system.register_all(bundle.filters)
+    system.subscribe(bundle.filters)
     harness = ClusterThroughputHarness(
         system,
         cluster,

@@ -39,7 +39,7 @@ def _build(scheme, bundle, seed=0):
         WORKLOAD.num_nodes, WORKLOAD.node_capacity, seed=seed
     )
     system = make_system(scheme, cluster, config)
-    system.register_all(bundle.filters)
+    system.subscribe(bundle.filters)
     if isinstance(system, MoveSystem):
         system.seed_frequencies(bundle.offline_corpus())
     system.finalize_registration()

@@ -1,71 +1,56 @@
 """The score-accumulation kernel must be bit-identical to the naive scorer.
 
 The kernel (:mod:`repro.matching.kernel`) replaces the per-(document,
-filter) cosine recomputation with cached document vectors, dense-slot
-accumulators, and remaining-mass pruning — but every observable must
-stay *exactly* the same: matched filter sets, unreachable sets,
+filter) cosine recomputation with cached document vectors, a
+vectorized accumulation pass over the index's posting arrays of slab
+slots, and remaining-mass pruning — but every observable must stay
+*exactly* the same: matched filter sets, unreachable sets,
 ``NodeTask``/``RetrievalCost`` accounting, and the scores themselves
 under exact float equality (``==``, no tolerance).  Each test runs two
-identically-seeded systems, one with the kernel enabled and one forced
-onto the naive per-candidate loop
-(``SystemConfig(matching_kernel=False)``), and
-diffs everything, including under interleaved
-``CorpusStatistics.observe`` calls (IDF epoch invalidation), node
-failures, and register/unregister churn (norm maintenance and
-registration-epoch invalidation).
+identically-seeded systems, one on the kernel and one switched onto
+the naive per-candidate loop by the test-only
+:func:`tests.oracles.naive_threshold_twin`, and diffs everything,
+including under interleaved ``CorpusStatistics.observe`` calls (IDF
+epoch invalidation), node failures, and unregister/re-subscribe churn
+(registration-epoch invalidation).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+import pickle
 
 import pytest
 
-from repro.baselines import (
-    CentralizedSystem,
-    InvertedListSystem,
-    RendezvousSystem,
-)
-from repro.config import SystemConfig
+import repro.matching.kernel as kernel_module
 from repro.core import MoveSystem
 from repro.experiments.harness import (
     ScaledWorkload,
     build_cluster,
     make_system,
 )
-from repro.matching import (
-    InvertedIndex,
-    ScoreKernel,
-    SiftMatcher,
-)
+from repro.matching import InvertedIndex, ScoreKernel, SiftMatcher
 from repro.matching.vsm import VsmScorer
 from repro.model import Document, Filter
+
+from tests.oracles import brute_force_sift, naive_threshold_twin
 
 WORKLOAD = ScaledWorkload(num_filters=600, num_documents=40, seed=11)
 
 ALL_SCHEMES = ["move", "il", "rs", "central"]
 
-#: The equivalence matrix runs once per kernel backend: the python
-#: accumulators and the vectorized CSR engine.  Every backend must be
-#: bit-identical to the naive reference scorer — and therefore to each
-#: other.
-BACKENDS = ["python", "csr"]
-
 THRESHOLD = 0.12
 
 
-def _build(scheme, bundle, kernel_enabled, backend="python"):
+def _build(scheme, bundle, naive):
     workload = bundle.workload
     cluster, config = build_cluster(
         workload.num_nodes, workload.node_capacity, seed=3
     )
-    config = replace(
-        config,
-        matching_kernel=kernel_enabled,
-        matching_backend=backend,
-    )
     system = make_system(scheme, cluster, config, threshold=THRESHOLD)
-    system.register_batch(bundle.filters)
+    if naive:
+        naive_threshold_twin(system)
+    system.subscribe(bundle.filters)
     if isinstance(system, MoveSystem):
         system.seed_frequencies(bundle.offline_corpus())
     system.finalize_registration()
@@ -103,18 +88,16 @@ def _assert_plans_identical(naive_plans, kernel_plans):
 def _assert_scores_identical(naive, fast, documents):
     """Exact float equality of every (doc, registered filter) score."""
     for document in documents:
-        for profile in fast.registered_filters.values():
+        for profile in fast.subscriptions().values():
             assert fast._kernel.score(document, profile) == (
                 naive._scorer.similarity(document, profile)
             )
 
 
-def _run_equivalence(
-    scheme, backend="python", fail=0.0, interleave_observe=False
-):
+def _run_equivalence(scheme, fail=0.0, interleave_observe=False):
     bundle = WORKLOAD.build()
-    naive = _build(scheme, bundle, kernel_enabled=False)
-    fast = _build(scheme, bundle, kernel_enabled=True, backend=backend)
+    naive = _build(scheme, bundle, naive=True)
+    fast = _build(scheme, bundle, naive=False)
     if fail:
         _fail_same_nodes(naive, fast, fail)
     documents = bundle.documents
@@ -142,35 +125,31 @@ def _run_equivalence(
     _assert_scores_identical(naive, fast, documents[:5])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_kernel_identical_healthy(scheme, backend):
-    _run_equivalence(scheme, backend)
+def test_kernel_identical_healthy(scheme):
+    _run_equivalence(scheme)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_kernel_identical_under_failures(scheme, backend):
-    _run_equivalence(scheme, backend, fail=0.2)
+def test_kernel_identical_under_failures(scheme):
+    _run_equivalence(scheme, fail=0.2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_kernel_identical_with_interleaved_observation(scheme, backend):
-    _run_equivalence(scheme, backend, interleave_observe=True)
+def test_kernel_identical_with_interleaved_observation(scheme):
+    _run_equivalence(scheme, interleave_observe=True)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_kernel_identical_observing_mid_batch(scheme, backend):
+def test_kernel_identical_observing_mid_batch(scheme):
     """IDF changes *inside* one batch: a system whose ``_observe``
     hook feeds the corpus statistics bumps the epoch between the
     documents of a single ``publish_batch`` — including between two
     disseminations of the *same* document object, which forces the
     memoized vector for a live cache entry to be rebuilt."""
     bundle = WORKLOAD.build()
-    naive = _build(scheme, bundle, kernel_enabled=False)
-    fast = _build(scheme, bundle, kernel_enabled=True, backend=backend)
+    naive = _build(scheme, bundle, naive=True)
+    fast = _build(scheme, bundle, naive=False)
 
     def observing(system):
         base_observe = type(system)._observe
@@ -194,15 +173,14 @@ def test_kernel_identical_observing_mid_batch(scheme, backend):
     _assert_scores_identical(naive, fast, documents[:3])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_kernel_identical_under_registration_churn(scheme, backend):
-    """Unregister / re-register between publishes: re-binding a filter
-    id to a *different* term set must refresh the precomputed norm and
-    invalidate memoized scores (registration-epoch check)."""
+def test_kernel_identical_under_registration_churn(scheme):
+    """Unregister / re-subscribe between publishes: re-binding a filter
+    id to a *different* term set must pick up the new ``sqrt(|f|)``
+    norm and invalidate memoized scores (registration-epoch check)."""
     bundle = WORKLOAD.build()
-    naive = _build(scheme, bundle, kernel_enabled=False)
-    fast = _build(scheme, bundle, kernel_enabled=True, backend=backend)
+    naive = _build(scheme, bundle, naive=True)
+    fast = _build(scheme, bundle, naive=False)
     documents = bundle.documents[:12]
     first, second = documents[:6], documents[6:]
     _assert_plans_identical(
@@ -216,8 +194,8 @@ def test_kernel_identical_under_registration_churn(scheme, backend):
         for system in (naive, fast):
             old = system.unregister(filter_id)
             terms = set(donor.terms) | set(list(old.terms)[:1])
-            system.register(
-                Filter(filter_id=filter_id, terms=frozenset(terms))
+            system.subscribe(
+                [Filter(filter_id=filter_id, terms=frozenset(terms))]
             )
     _assert_plans_identical(
         naive.publish_batch(second), fast.publish_batch(second)
@@ -225,41 +203,54 @@ def test_kernel_identical_under_registration_churn(scheme, backend):
     _assert_scores_identical(naive, fast, second[:3])
 
 
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_churn_does_not_grow_kernel_state(scheme):
+    """Subscribe → publish → unregister with ever-fresh ids: the slab
+    reuses its slots and the kernel retains nothing per filter, so
+    neither grows with the number of ids ever registered."""
+    bundle = ScaledWorkload(
+        num_filters=300, num_documents=8, seed=4
+    ).build()
+    workload = bundle.workload
+    cluster, config = build_cluster(
+        workload.num_nodes, workload.node_capacity, seed=3
+    )
+    system = make_system(scheme, cluster, config, threshold=THRESHOLD)
+    system.subscribe(bundle.filters)
+    if isinstance(system, MoveSystem):
+        system.seed_frequencies(bundle.offline_corpus())
+    system.finalize_registration()
+    kernel_bytes_before = len(pickle.dumps(system._kernel))
+    peak_live = len(bundle.filters) + 1
+    documents = bundle.documents
+    donors = bundle.filters
+    for cycle in range(2_000):
+        donor = donors[cycle % len(donors)]
+        fresh = Filter(filter_id=f"churn{cycle}", terms=donor.terms)
+        system.subscribe([fresh])
+        system.publish_batch([documents[cycle % len(documents)]])
+        system.unregister(fresh.filter_id)
+    assert system.filter_slab.slot_count <= peak_live + 1
+    assert len(pickle.dumps(system._kernel)) <= kernel_bytes_before
+
+
 # ---------------------------------------------------------------------------
 # SiftMatcher-level equivalence
 # ---------------------------------------------------------------------------
 
 
-def _sift_pair(filters, backend="python"):
-    scorer = VsmScorer()
-    index_a, index_b = InvertedIndex(), InvertedIndex()
-    for profile in filters:
-        index_a.add_filter(profile)
-        index_b.add_filter(profile)
-    kernel_matcher = SiftMatcher(
-        index_a,
-        scorer=scorer,
-        threshold=THRESHOLD,
-        config=SystemConfig(matching_backend=backend),
-    )
-    reference = SiftMatcher(
-        index_b,
-        scorer=scorer,
-        threshold=THRESHOLD,
-        config=SystemConfig(matching_kernel=False),
-    )
-    return kernel_matcher, reference
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sift_matcher_kernel_matches_reference(backend):
+def test_sift_matcher_kernel_matches_brute_force():
     bundle = WORKLOAD.build()
-    kernel_matcher, reference = _sift_pair(
-        bundle.filters[:300], backend=backend
-    )
+    scorer = VsmScorer()
+    index = InvertedIndex()
+    for profile in bundle.filters[:300]:
+        index.add_filter(profile)
+    matcher = SiftMatcher(index, scorer=scorer, threshold=THRESHOLD)
     for document in bundle.documents[:20]:
-        fast_matched, fast_cost = kernel_matcher.match(document)
-        naive_matched, naive_cost = reference.match(document)
+        fast_matched, fast_cost = matcher.match(document)
+        naive_matched, naive_cost = brute_force_sift(
+            index, scorer, THRESHOLD, document
+        )
         # Same filters in the same (first-appearance) order, and the
         # same RetrievalCost despite pruning.
         assert [p.filter_id for p in fast_matched] == [
@@ -267,20 +258,28 @@ def test_sift_matcher_kernel_matches_reference(backend):
         ]
         assert fast_cost == naive_cost
         for profile in fast_matched:
-            assert kernel_matcher.kernel.score(document, profile) == (
-                reference.scorer.similarity(document, profile)
+            assert matcher.kernel.score(document, profile) == (
+                scorer.similarity(document, profile)
             )
 
 
-def test_sift_matcher_reference_has_no_kernel():
+def test_match_slots_leaves_postings_resizable():
+    """No buffer view of a posting array outlives the pass: an
+    ``array('q')`` with a live export raises ``BufferError`` on
+    resize, so mutating the index right after matching must work."""
+    kernel = ScoreKernel(VsmScorer(), threshold=0.01)
     index = InvertedIndex()
-    matcher = SiftMatcher(
-        index,
-        scorer=VsmScorer(),
-        threshold=0.5,
-        config=SystemConfig(matching_kernel=False),
-    )
-    assert matcher.kernel is None
+    index.add_filter(Filter.from_terms("f1", ["a", "b"]))
+    document = _doc("d1", ["a", "b", "c"])
+    slots, lists, entries = kernel.match_slots(document, index)
+    assert [index.slab.filter_id(slot) for slot in slots] == ["f1"]
+    assert (lists, entries) == (2, 2)
+    for i in range(50):
+        index.add_filter(Filter.from_terms(f"g{i}", ["a", "c"]))
+    index.remove_filter("f1")
+    slots, lists, entries = kernel.match_slots(document, index)
+    assert (lists, entries) == (2, 100)
+    assert len(slots) == 50
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +320,11 @@ def test_kernel_norm_refreshes_on_reregistration():
     )
 
 
-def test_kernel_accumulation_prunes_hopeless_candidates():
+def test_kernel_accumulation_prunes_hopeless_candidates(monkeypatch):
     """With a high threshold, candidates first seen deep in the
-    posting walk (small remaining mass) are never admitted — yet the
-    matched set still equals the naive scorer's."""
+    posting walk (small remaining mass) are never admitted to the
+    segment sums — yet the matched set still equals the naive
+    scorer's."""
     scorer = VsmScorer()
     kernel = ScoreKernel(scorer, threshold=0.9)
     # Build the document around its own (frozenset) iteration order so
@@ -340,41 +340,39 @@ def test_kernel_accumulation_prunes_hopeless_candidates():
     )
     strong = Filter(filter_id="strong", terms=frozenset({heavy_term}))
     weak = Filter(filter_id="weak", terms=frozenset({weak_term}))
-    postings = {heavy_term: [strong], weak_term: [weak]}
+    index = InvertedIndex()
     for profile in (strong, weak):
-        kernel.register_filter(profile)
-    scoring = kernel.begin(document)
-    for term in document.terms:
-        scoring.accumulate(term, postings.get(term, []))
-    admitted = scoring.scores()
-    matched = scoring.matched()
-    # "weak" was pruned at admission (remaining mass too small) ...
-    assert "weak" not in admitted
-    assert "strong" in admitted
+        index.add_filter(profile)
+    admitted = []
+    segment_sums = kernel_module._exact_segment_sums
+
+    def recording(vals_sorted, seg_start, seg_len):
+        admitted.append(len(seg_start))
+        return segment_sums(vals_sorted, seg_start, seg_len)
+
+    monkeypatch.setattr(kernel_module, "_exact_segment_sums", recording)
+    slots, _lists, _entries = kernel.match_slots(document, index)
+    # "weak" was pruned at admission: only one candidate was summed ...
+    assert admitted == [1]
     # ... and the matched set still agrees with the naive scorer.
     naive = [
-        profile
+        profile.filter_id
         for profile in (strong, weak)
         if scorer.similarity(document, profile) >= 0.9
     ]
-    assert [p.filter_id for p in matched] == [
-        p.filter_id for p in naive
-    ]
-    for profile in matched:
-        assert kernel.score(document, profile) == scorer.similarity(
-            document, profile
-        )
+    assert [index.slab.filter_id(slot) for slot in slots] == naive
 
 
 def test_kernel_accumulation_scores_match_similarity():
     """Accumulated scores (all-terms index walk) equal the canonical
-    ``VsmScorer.similarity`` bit for bit."""
+    ``VsmScorer.similarity`` bit for bit: a threshold set to a
+    filter's exact similarity matches it, and one ULP above does
+    not."""
     scorer = VsmScorer()
     for i in range(7):
         scorer.statistics.observe(
             _doc(f"bg{i}", ["a", "b"] if i % 2 else ["b", "c"])
         )
-    kernel = ScoreKernel(scorer, threshold=0.01)
     filters = [
         Filter(filter_id="fa", terms=frozenset({"a"})),
         Filter(filter_id="fab", terms=frozenset({"a", "b"})),
@@ -382,18 +380,17 @@ def test_kernel_accumulation_scores_match_similarity():
     ]
     index = InvertedIndex()
     for profile in filters:
-        kernel.register_filter(profile)
         index.add_filter(profile)
     document = _doc("d1", ["a", "b", "c", "a", "d"])
-    scoring = kernel.begin(document)
-    for term in document.terms:
-        retrieved, _cost = index.filters_for_term(term)
-        scoring.accumulate(term, retrieved)
-    scores = scoring.scores()
     for profile in filters:
-        assert scores[profile.filter_id] == scorer.similarity(
-            document, profile
-        )
+        exact = scorer.similarity(document, profile)
+        slot = index.slab.slot_of(profile.filter_id)
+        at = ScoreKernel(scorer, threshold=exact)
+        above = ScoreKernel(scorer, threshold=math.nextafter(exact, 2.0))
+        at_slots, _, _ = at.match_slots(document, index)
+        above_slots, _, _ = above.match_slots(document, index)
+        assert slot in at_slots
+        assert slot not in above_slots
 
 
 def test_kernel_batch_cache_shares_vectors_across_visits():

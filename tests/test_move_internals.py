@@ -26,7 +26,7 @@ def _system(capacity=400, **alloc_kwargs):
 def allocated_system(tiny_workload):
     filters, documents = tiny_workload
     system = _system()
-    system.register_all(filters)
+    system.subscribe(filters)
     system.seed_frequencies(documents[:10])
     system.finalize_registration()
     return system, filters, documents

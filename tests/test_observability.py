@@ -12,8 +12,6 @@ Covers the PR-4 surface end to end:
   plan's :class:`~repro.baselines.NodeTask` accounting;
 - the uniform ``system.stats()`` accessor returning
   :class:`~repro.obs.SystemStats` with identical cross-scheme totals;
-- the ``SystemConfig.matching_kernel`` knob and the deprecation
-  warnings on the legacy toggles it replaces;
 - the metrics primitives (gauges, fixed-bucket latency histograms)
   and the substrate instrumentation (disk-queue histograms, crash
   counters, KV client counters);
@@ -26,7 +24,6 @@ import io
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -40,15 +37,13 @@ from repro import (
     set_default_tracer,
 )
 from repro.cluster import Cluster, KeyValueClient
-from repro.config import ClusterConfig, SystemConfig
+from repro.config import ClusterConfig
 from repro.core import MoveSystem
 from repro.experiments.harness import (
     ScaledWorkload,
     build_cluster,
     make_system,
 )
-from repro.matching import InvertedIndex, ScoreKernel, SiftMatcher
-from repro.matching.vsm import VsmScorer
 from repro.obs import NULL_TRACER, Gauge, LatencyHistogram
 from repro.sim import FifoServer, Simulator
 
@@ -68,7 +63,7 @@ def _build(scheme, bundle, tracer=None, threshold=None):
     system = make_system(scheme, cluster, config, threshold=threshold)
     if tracer is not None:
         system.tracer = tracer
-    system.register_batch(bundle.filters)
+    system.subscribe(bundle.filters)
     if isinstance(system, MoveSystem):
         system.seed_frequencies(bundle.offline_corpus())
     system.finalize_registration()
@@ -294,71 +289,6 @@ class TestSystemStats:
         with pytest.raises(AttributeError):
             system.stats.popularity
         assert system.term_stats.popularity.total_filters > 0
-
-
-# ---------------------------------------------------------------------------
-# SystemConfig.matching_kernel and the deprecated toggles
-# ---------------------------------------------------------------------------
-
-
-class TestMatchingKernelKnob:
-    def test_config_defaults_to_kernel_enabled(self):
-        assert SystemConfig().matching_kernel is True
-
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_config_knob_reaches_the_kernel(self, scheme):
-        from dataclasses import replace
-
-        bundle = WORKLOAD.build()
-        workload = bundle.workload
-        cluster, config = build_cluster(
-            workload.num_nodes, workload.node_capacity, seed=5
-        )
-        config = replace(config, matching_kernel=False)
-        system = make_system(scheme, cluster, config, threshold=0.12)
-        assert system._kernel.enabled is False
-
-    def test_score_kernel_enabled_is_read_only(self):
-        """The PR 4-deprecated setter is gone: construction-time knobs
-        (SystemConfig.matching_kernel / ScoreKernel(enabled=)) are the
-        only way to pick the scoring path."""
-        kernel = ScoreKernel(VsmScorer(), threshold=0.5)
-        assert kernel.enabled is True
-        with pytest.raises(AttributeError):
-            kernel.enabled = False
-        assert kernel.enabled is True
-
-    def test_sift_matcher_use_kernel_kwarg_removed(self):
-        index = InvertedIndex()
-        with pytest.raises(TypeError):
-            SiftMatcher(
-                index,
-                scorer=VsmScorer(),
-                threshold=0.5,
-                use_kernel=False,
-            )
-
-    def test_sift_matcher_use_kernel_attr_removed(self):
-        """The deprecated read shim is gone with its setter: kernel
-        introspection goes through ``matcher.kernel``."""
-        matcher = SiftMatcher(
-            InvertedIndex(), scorer=VsmScorer(), threshold=0.5
-        )
-        with pytest.raises(AttributeError):
-            matcher.use_kernel
-        assert matcher.kernel is not None and matcher.kernel.enabled
-
-    def test_sift_matcher_config_param_is_silent(self):
-        index = InvertedIndex()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            matcher = SiftMatcher(
-                index,
-                scorer=VsmScorer(),
-                threshold=0.5,
-                config=SystemConfig(matching_kernel=False),
-            )
-        assert matcher.kernel is None
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def _build(aggregate: bool, filters, seed_docs, capacity: int = 400):
     config = _config(aggregate, capacity)
     cluster = Cluster(config.cluster)
     system = MoveSystem(cluster, config)
-    system.register_all(filters)
+    system.subscribe(filters)
     system.seed_frequencies(seed_docs)
     system.finalize_registration()
     return system
@@ -66,7 +66,7 @@ def test_per_term_write_through(tiny_workload):
     system = _build(False, filters, documents[:10])
     hot_term = next(iter(system.plan.tables))
     late = Filter.from_terms("late", [hot_term])
-    system.register(late)
+    system.subscribe(late)
     document = Document.from_terms("d-late", [hot_term])
     plan = system.publish(document)
     assert "late" in plan.matched_filter_ids

@@ -9,12 +9,11 @@ profiles — same tasks, same routing, same unreachable sets, same RNG
 stream — except that delivery drops exactly the matched ids whose
 predicate rejects the document.
 
-That twin-oracle property is checked across every scheme, both
-kernel backends, boolean and threshold semantics,
-and under node failures; an independent pure-model oracle re-derives
+That twin-oracle property is checked across every scheme, boolean
+and threshold semantics, and under node failures; an independent pure-model oracle re-derives
 the boolean case from :meth:`QueryNode.matches` alone.  Around it:
 the redesigned ``subscribe`` entrypoint (uniform item kinds, auto
-ids, deprecation shims), rarest-anchor homing against live popularity
+ids, all-or-nothing chunks), rarest-anchor homing against live popularity
 statistics, deterministic anchor tie-breaks, slab rehydration, WAL
 replay of ``subscribe``, reallocation carrying predicates along, and
 query subscriptions over the TCP protocol.
@@ -25,7 +24,6 @@ from __future__ import annotations
 import asyncio
 import random
 import threading
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -39,7 +37,6 @@ from repro.experiments.harness import (
     ScaledWorkload,
     build_cluster,
     make_system,
-    register_streaming,
 )
 from repro.model import (
     Document,
@@ -55,7 +52,6 @@ from repro.serve.journal import JournaledSystem
 from repro.text import tokenize
 
 ALL_SCHEMES = ["move", "il", "rs", "central"]
-BACKENDS = ["python", "csr"]
 
 WORKLOAD = ScaledWorkload(
     num_filters=240,
@@ -81,13 +77,11 @@ def _predicate_of(profile: Filter):
     return None
 
 
-def _build(scheme, bundle, *, backend="python", threshold=None,
-           flat=False, seed=3):
+def _build(scheme, bundle, *, threshold=None, flat=False, seed=3):
     workload = bundle.workload
     cluster, config = build_cluster(
         workload.num_nodes, workload.node_capacity, seed=seed
     )
-    config = replace(config, matching_backend=backend)
     system = make_system(scheme, cluster, config, threshold=threshold)
     profiles = bundle.filters
     if flat:
@@ -107,19 +101,14 @@ def _fail_same_nodes(*systems, fraction=0.25):
             system.cluster.fail_node(node_id)
 
 
-def _check_twin_property(scheme, *, backend="python", threshold=None,
-                         fail=0.0):
+def _check_twin_property(scheme, *, threshold=None, fail=0.0):
     bundle = WORKLOAD.build()
     predicates = {
         p.filter_id: _predicate_of(p) for p in bundle.filters
     }
     assert any(v is not None for v in predicates.values())
-    predicated = _build(
-        scheme, bundle, backend=backend, threshold=threshold
-    )
-    flat = _build(
-        scheme, bundle, backend=backend, threshold=threshold, flat=True
-    )
+    predicated = _build(scheme, bundle, threshold=threshold)
+    flat = _build(scheme, bundle, threshold=threshold, flat=True)
     if fail:
         _fail_same_nodes(predicated, flat, fraction=fail)
     pred_plans = predicated.publish_batch(bundle.documents)
@@ -155,9 +144,8 @@ def _check_twin_property(scheme, *, backend="python", threshold=None,
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_delivery_matches_flat_twin_plus_predicate(scheme, backend):
-    _check_twin_property(scheme, backend=backend)
+def test_delivery_matches_flat_twin_plus_predicate(scheme):
+    _check_twin_property(scheme)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -166,9 +154,8 @@ def test_delivery_matches_twin_under_node_failure(scheme):
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_delivery_matches_twin_under_threshold(scheme, backend):
-    _check_twin_property(scheme, backend=backend, threshold=0.12)
+def test_delivery_matches_twin_under_threshold(scheme):
+    _check_twin_property(scheme, threshold=0.12)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -287,31 +274,6 @@ def test_subscribe_chunked_matches_unchunked():
             one.publish(document).matched_filter_ids
             == chunked.publish(document).matched_filter_ids
         )
-
-
-def test_deprecated_spellings_warn_and_delegate():
-    flat = Filter.from_text("f1", "storm flood")
-    for spelling in ("register", "register_all", "register_batch"):
-        system = _small_system()
-        with pytest.warns(DeprecationWarning, match="subscribe"):
-            if spelling == "register":
-                system.register(flat)
-            elif spelling == "register_all":
-                system.register_all([flat])
-            else:
-                system.register_batch([flat])
-        assert set(system.subscriptions()) == {"f1"}
-    system = _small_system()
-    with pytest.warns(DeprecationWarning, match="subscribe"):
-        count = register_streaming(system, [flat], chunk_size=2)
-    assert count == 1
-    assert set(system.subscriptions()) == {"f1"}
-
-
-def test_registered_filters_is_the_subscriptions_view():
-    system = _small_system()
-    system.subscribe(["storm AND flood"])
-    assert set(system.registered_filters) == set(system.subscriptions())
 
 
 def test_subscribe_is_all_or_nothing_per_chunk():

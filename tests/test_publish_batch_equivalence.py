@@ -10,8 +10,8 @@ with fresh caches per document — no cross-document sharing, with the
 ring's home-node memo disabled to recover the seed routing exactly)
 and :meth:`publish_batch` on the other, and diffs every plan field.
 
-The reference system registers through :meth:`register_all` and the
-batched one through :meth:`register_batch`, so bulk registration's
+The reference system subscribes one profile at a time and the batched
+one in a single ``subscribe`` call, so bulk registration's
 state-identity contract is exercised end-to-end as well.
 """
 
@@ -71,9 +71,10 @@ def _build(scheme, bundle, threshold=None, per_term=False, bulk=False):
     else:
         system = make_system(scheme, cluster, config)
     if bulk:
-        system.register_batch(bundle.filters)
+        system.subscribe(bundle.filters)
     else:
-        system.register_all(bundle.filters)
+        for profile in bundle.filters:
+            system.subscribe([profile])
     if isinstance(system, MoveSystem):
         system.seed_frequencies(bundle.offline_corpus())
     system.finalize_registration()
@@ -190,7 +191,7 @@ def test_publish_override_no_longer_reroutes_batches():
         workload.num_nodes, workload.node_capacity, seed=3
     )
     legacy = LegacySystem(cluster, config)
-    legacy.register_all(bundle.filters)
+    legacy.subscribe(bundle.filters)
     legacy.finalize_registration()
     documents = bundle.documents[:5]
     plans = legacy.publish_batch(documents)

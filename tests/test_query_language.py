@@ -1,25 +1,20 @@
-"""Tests for the boolean query language and subscription engine."""
+"""Tests for the boolean query language: parsing and anchors."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import InvertedListSystem
-from repro.cluster import Cluster
-from repro.config import ClusterConfig, SystemConfig
-from repro.matching.query import (
+from repro.model import Subscription
+from repro.model.query import (
     And,
     Not,
     Or,
-    QueryEngine,
     QueryError,
     QueryNode,
     Term,
-    compile_subscription,
     parse_query,
 )
-from repro.model import Document
 
 
 def _terms(*words):
@@ -119,7 +114,7 @@ class TestAnchors:
 
     def test_pure_negation_unroutable(self):
         with pytest.raises(QueryError):
-            compile_subscription("q", "NOT sports")
+            Subscription.from_query("q", "NOT sports")
 
     def test_anchor_soundness_property(self):
         # Any document satisfying the query contains an anchor.
@@ -142,70 +137,6 @@ class TestAnchors:
                     terms = frozenset(combo)
                     if node.matches(terms):
                         assert terms & anchors, (text, combo)
-
-
-class TestQueryEngine:
-    @pytest.fixture
-    def engine(self):
-        config = SystemConfig(
-            cluster=ClusterConfig(num_nodes=6, num_racks=2, seed=1),
-            expected_filter_terms=1_000,
-            seed=1,
-        )
-        system = InvertedListSystem(Cluster(config.cluster), config)
-        return QueryEngine(system)
-
-    def test_publish_evaluates_full_predicate(self, engine):
-        engine.subscribe("flood-alert", "storm AND (flood OR surge)")
-        engine.subscribe("quake-alert", "earthquake")
-        hit = Document.from_terms("d1", ["storm", "flood", "news"])
-        partial = Document.from_terms("d2", ["storm", "news"])
-        assert engine.publish(hit) == {"flood-alert"}
-        assert engine.publish(partial) == set()
-
-    def test_not_clause_filters(self, engine):
-        engine.subscribe("q", "storm NOT sport")
-        assert engine.publish(
-            Document.from_terms("d", ["storm"])
-        ) == {"q"}
-        assert (
-            engine.publish(
-                Document.from_terms("d2", ["storm", "sport"])
-            )
-            == set()
-        )
-
-    def test_unsubscribe(self, engine):
-        engine.subscribe("q", "storm")
-        engine.unsubscribe("q")
-        assert len(engine) == 0
-        assert engine.publish(
-            Document.from_terms("d", ["storm"])
-        ) == set()
-
-    def test_matches_brute_force_over_random_docs(self, engine):
-        import random
-
-        rng = random.Random(5)
-        universe = [f"w{i}" for i in range(12)]
-        queries = {
-            "q1": "w0 AND w1",
-            "q2": "w2 OR (w3 AND w4)",
-            "q3": "w5 NOT w6",
-            "q4": "(w7 OR w8) w9",
-        }
-        for query_id, text in queries.items():
-            engine.subscribe(query_id, text)
-        parsed = {qid: parse_query(t) for qid, t in queries.items()}
-        for i in range(60):
-            terms = rng.sample(universe, k=rng.randint(1, 6))
-            document = Document.from_terms(f"d{i}", terms)
-            expected = {
-                qid
-                for qid, node in parsed.items()
-                if node.matches(document.terms)
-            }
-            assert engine.publish(document) == expected
 
 
 _leaf = st.sampled_from(["aa", "bb", "cc", "dd"])

@@ -58,7 +58,7 @@ def _build(incremental, drift_epsilon=0.0, **alloc_kwargs):
 
 
 def _bootstrap(system, filters, documents):
-    system.register_all(filters)
+    system.subscribe(filters)
     system.seed_frequencies(documents[:10])
     system.finalize_registration()
 
@@ -142,7 +142,7 @@ class TestBitIdenticalEquivalence:
             for profile in filters[:3]:
                 system.unregister(profile.filter_id)
             for i, profile in enumerate(filters[:3]):
-                system.register(
+                system.subscribe(
                     Filter.from_terms(
                         f"twin-{i}", profile.sorted_terms()
                     )
@@ -166,7 +166,7 @@ class TestBitIdenticalEquivalence:
         def mutate(system, filters, documents):
             hot_terms = filters[0].sorted_terms()
             for i in range(40):
-                system.register(
+                system.subscribe(
                     Filter.from_terms(f"burst-{i}", hot_terms)
                 )
             for document in documents[10:30]:
@@ -285,7 +285,7 @@ class TestDriftGate:
         for profile in filters[:5]:
             system.unregister(profile.filter_id)
         for i in range(5):
-            system.register(
+            system.subscribe(
                 Filter.from_terms(
                     f"churn-{i}", filters[5 + i].sorted_terms()
                 )
@@ -325,7 +325,7 @@ class TestMovementAccounting:
     ):
         filters, documents = tiny_workload
         system = _build(True, randomized_rounding=False)
-        system.register_all(filters)
+        system.subscribe(filters)
         system.seed_frequencies(documents[:10])
         report = system.reallocate()
         total = sum(
@@ -340,7 +340,7 @@ class TestMovementAccounting:
         _bootstrap(system, filters, documents)
         hot_terms = filters[0].sorted_terms()
         for i in range(40):
-            system.register(Filter.from_terms(f"burst-{i}", hot_terms))
+            system.subscribe(Filter.from_terms(f"burst-{i}", hot_terms))
         for document in documents[10:30]:
             system.observe_document(document)
         report = system.reallocate()

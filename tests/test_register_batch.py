@@ -1,11 +1,11 @@
 """Bulk registration must be observationally identical to the loop.
 
-``register_batch`` amortizes posting-list maintenance (one sort per
-posting list via ``InvertedIndex.add_filters`` instead of one sorted
-insert per filter replica) but must leave the system in exactly the
-state sequential :meth:`register` calls produce: same placement, same
-metrics, same Bloom contents — and therefore identical dissemination
-plans afterwards.
+``subscribe(profiles)`` amortizes posting-list maintenance (one sort
+per posting list via ``InvertedIndex.add_filters`` instead of one
+sorted insert per filter replica) but must leave the system in exactly
+the state one-at-a-time ``subscribe([profile])`` calls produce: same
+placement, same metrics, same Bloom contents — and therefore identical
+dissemination plans afterwards.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ def _fresh(scheme):
 def test_bulk_matches_sequential_state(scheme):
     bundle, sequential = _fresh(scheme)
     _, bulk = _fresh(scheme)
-    sequential.register_all(bundle.filters)
-    bulk.register_batch(bundle.filters)
-    assert bulk.registered_filters == sequential.registered_filters
+    for profile in bundle.filters:
+        sequential.subscribe([profile])
+    bulk.subscribe(bundle.filters)
+    assert bulk.subscriptions() == sequential.subscriptions()
     assert (
         bulk.storage_distribution() == sequential.storage_distribution()
     )
@@ -58,8 +59,9 @@ def test_bulk_matches_sequential_state(scheme):
 def test_bulk_matches_sequential_plans(scheme):
     bundle, sequential = _fresh(scheme)
     _, bulk = _fresh(scheme)
-    sequential.register_all(bundle.filters)
-    bulk.register_batch(bundle.filters)
+    for profile in bundle.filters:
+        sequential.subscribe([profile])
+    bulk.subscribe(bundle.filters)
     for system in (sequential, bulk):
         if hasattr(system, "seed_frequencies"):
             system.seed_frequencies(bundle.offline_corpus())
@@ -80,7 +82,7 @@ def test_duplicate_in_batch_rejected_before_any_placement(scheme):
     bundle, system = _fresh(scheme)
     batch = list(bundle.filters[:10]) + [bundle.filters[3]]
     with pytest.raises(ValueError):
-        system.register_batch(batch)
+        system.subscribe(batch)
     # All-or-nothing: nothing registered, nothing placed.
     assert system.total_filters == 0
     assert system.metrics.counter("filters_registered").value == 0
@@ -91,21 +93,21 @@ def test_duplicate_in_batch_rejected_before_any_placement(scheme):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_duplicate_against_registry_rejected(scheme):
     bundle, system = _fresh(scheme)
-    system.register(bundle.filters[0])
+    system.subscribe(bundle.filters[0])
     with pytest.raises(ValueError):
-        system.register_batch(bundle.filters[:5])
+        system.subscribe(bundle.filters[:5])
     assert system.total_filters == 1
 
 
 def test_empty_batch_is_a_no_op():
     bundle, system = _fresh("il")
-    system.register_batch([])
+    system.subscribe([])
     assert system.total_filters == 0
     assert system.metrics.counter("filters_registered").value == 0
 
 
 def test_default_batch_falls_back_to_per_filter_loop():
-    """A scheme without a bulk override still gets register_batch."""
+    """A scheme without a bulk override still gets bulk subscribe."""
     registered = []
 
     class MinimalSystem(DisseminationSystem):
@@ -117,7 +119,7 @@ def test_default_batch_falls_back_to_per_filter_loop():
 
     bundle, _ = _fresh("il")
     system = MinimalSystem()
-    system.register_batch(bundle.filters[:8])
+    system.subscribe(bundle.filters[:8])
     assert registered == [
         profile.filter_id for profile in bundle.filters[:8]
     ]

@@ -498,7 +498,7 @@ def test_commands_serialize_between_batches():
 def _registered_system(scheme="il"):
     cluster, config = build_cluster(4, 2_000, seed=0)
     system = make_system(scheme, cluster, config)
-    system.register_batch(list(_PROFILES))
+    system.subscribe(list(_PROFILES))
     system.finalize_registration()
     return system
 
@@ -512,7 +512,7 @@ def test_mid_batch_registration_raises_contract_error():
     def mutate_once(document):
         if not mutated:
             mutated.append(document.doc_id)
-            system.register(Filter.from_terms("late", ["zzz"]))
+            system.subscribe(Filter.from_terms("late", ["zzz"]))
         original(document)
 
     system._observe = mutate_once
@@ -540,7 +540,7 @@ def test_mid_batch_membership_change_raises_contract_error():
 def test_mutations_between_batches_are_fine():
     system = _registered_system()
     system.publish_batch(_DOCS[:2])
-    system.register(Filter.from_terms("late", ["zzz"]))
+    system.subscribe(Filter.from_terms("late", ["zzz"]))
     system.cluster.fail_node("node003")
     system.cluster.recover_node("node003")
     plans = system.publish_batch(_DOCS[2:])

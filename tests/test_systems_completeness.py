@@ -45,7 +45,7 @@ def _build(scheme, filters, config=None, seed_docs=()):
         system = InvertedListSystem(cluster, config)
     else:
         system = RendezvousSystem(cluster, config)
-    system.register_all(filters)
+    system.subscribe(filters)
     if scheme == "move" and seed_docs:
         system.seed_frequencies(seed_docs)
     system.finalize_registration()
@@ -148,7 +148,7 @@ def test_rs_completeness_any_partition_level(
     system = RendezvousSystem(
         cluster, config, partition_level=partition_level
     )
-    system.register_all(filters)
+    system.subscribe(filters)
     for document in documents[:15]:
         plan = system.publish(document)
         assert plan.matched_filter_ids == _oracle_ids(document, filters)
@@ -191,7 +191,7 @@ def test_filter_registered_after_allocation_is_found(tiny_workload):
     system, _ = _build("move", filters, seed_docs=documents[:10])
     assert system.plan is not None and system.plan.tables
     late = Filter.from_terms("late-filter", [next(iter(documents[0].terms))])
-    system.register(late)
+    system.subscribe(late)
     plan = system.publish(documents[0])
     all_filters = filters + [late]
     assert plan.matched_filter_ids == _oracle_ids(
@@ -203,7 +203,7 @@ def test_filter_registered_after_allocation_is_found(tiny_workload):
 def test_duplicate_registration_rejected(sample_filters):
     system, _ = _build("il", sample_filters)
     with pytest.raises(ValueError):
-        system.register(sample_filters[0])
+        system.subscribe(sample_filters[0])
 
 
 def test_metrics_track_documents(tiny_workload):

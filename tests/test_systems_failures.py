@@ -36,7 +36,7 @@ class TestILFailures:
         config = _config()
         cluster = Cluster(config.cluster)
         system = InvertedListSystem(cluster, config)
-        system.register_all(filters)
+        system.subscribe(filters)
         document = documents[0]
         healthy = system.publish(document)
         # Fail the home node handling the most terms of this document.
@@ -56,7 +56,7 @@ class TestILFailures:
         config = _config()
         cluster = Cluster(config.cluster)
         system = InvertedListSystem(cluster, config)
-        system.register_all(filters)
+        system.subscribe(filters)
         for node_id in cluster.node_ids()[:4]:
             cluster.fail_node(node_id)
         plan = system.publish(documents[0])
@@ -70,7 +70,7 @@ class TestRSFailures:
         config = _config()
         cluster = Cluster(config.cluster)
         system = RendezvousSystem(cluster, config, partition_level=2)
-        system.register_all(filters)
+        system.subscribe(filters)
         # Each partition has 4 replicas; kill one replica of each.
         for partition in system._partitions:
             cluster.fail_node(partition[0])
@@ -85,7 +85,7 @@ class TestRSFailures:
         config = _config()
         cluster = Cluster(config.cluster)
         system = RendezvousSystem(cluster, config, partition_level=4)
-        system.register_all(filters)
+        system.subscribe(filters)
         for node_id in system._partitions[0]:
             cluster.fail_node(node_id)
         lost_any = False
@@ -104,7 +104,7 @@ class TestMoveFailures:
         config = _config(placement=placement, capacity=100)
         cluster = Cluster(config.cluster)
         system = MoveSystem(cluster, config)
-        system.register_all(filters)
+        system.subscribe(filters)
         system.seed_frequencies(documents[:10])
         system.finalize_registration()
         return system, cluster
@@ -151,7 +151,7 @@ class TestMoveFailures:
         config = _config(placement="hybrid", capacity=60)
         cluster = Cluster(config.cluster)
         system = MoveSystem(cluster, config)
-        system.register_all(filters)
+        system.subscribe(filters)
         system.seed_frequencies(seed_docs)
         system.finalize_registration()
         hot_home = system.home_of("hot")

@@ -38,7 +38,7 @@ def _build(scheme, filters, seed_docs=()):
         system = InvertedListSystem(cluster, config, threshold=THRESHOLD)
     else:
         system = RendezvousSystem(cluster, config, threshold=THRESHOLD)
-    system.register_all(filters)
+    system.subscribe(filters)
     if scheme == "move" and seed_docs:
         system.seed_frequencies(seed_docs)
     system.finalize_registration()
@@ -100,8 +100,8 @@ def test_threshold_one_requires_perfect_overlap():
     config = _config()
     cluster = Cluster(config.cluster)
     system = InvertedListSystem(cluster, config, threshold=1.0)
-    system.register(Filter.from_terms("exact", ["alpha"]))
-    system.register(Filter.from_terms("partial", ["alpha", "zz"]))
+    system.subscribe(Filter.from_terms("exact", ["alpha"]))
+    system.subscribe(Filter.from_terms("partial", ["alpha", "zz"]))
     plan = system.publish(Document.from_terms("d", ["alpha"]))
     assert "exact" in plan.matched_filter_ids
     assert "partial" not in plan.matched_filter_ids

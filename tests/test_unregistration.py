@@ -35,7 +35,7 @@ def _build(scheme, filters, seed_docs=()):
         system = CentralizedSystem(cluster, config)
     else:
         system = RendezvousSystem(cluster, config)
-    system.register_all(filters)
+    system.subscribe(filters)
     if scheme == "move" and seed_docs:
         system.seed_frequencies(seed_docs)
     system.finalize_registration()
@@ -73,7 +73,7 @@ def test_unregister_then_reregister(tiny_workload):
     system = _build("move", filters, seed_docs=documents[:10])
     victim = filters[0]
     system.unregister(victim.filter_id)
-    system.register(victim)
+    system.subscribe(victim)
     for document in documents[:10]:
         plan = system.publish(document)
         assert plan.matched_filter_ids == _oracle_ids(document, filters)
@@ -123,17 +123,17 @@ def test_failed_unregister_keeps_registry_consistent(tiny_workload):
     config = _config()
     cluster = Cluster(config.cluster)
     system = ChurnlessSystem(cluster, config)
-    system.register_all(filters[:5])
+    system.subscribe(filters[:5])
     victim = filters[0]
     with pytest.raises(NotImplementedError):
         system.unregister(victim.filter_id)
     # Still registered, still matching, and not double-registrable.
-    assert victim.filter_id in system.registered_filters
+    assert victim.filter_id in system.subscriptions()
     assert (
         system.metrics.counter("filters_unregistered").value == 0
     )
     with pytest.raises(ValueError):
-        system.register(victim)
+        system.subscribe(victim)
     for document in documents[:10]:
         plan = system.publish(document)
         assert plan.matched_filter_ids == _oracle_ids(

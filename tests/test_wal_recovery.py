@@ -505,7 +505,7 @@ def test_fully_torn_journal_boots_fresh(tmp_path):
     journal.close()
     recovered = JournaledSystem(tmp_path)
     assert recovered.setup["seed"] == 3
-    assert "f0" in recovered.system.registered_filters
+    assert "f0" in recovered.system.subscriptions()
 
 
 def test_journal_continues_across_restarts(tmp_path):
