@@ -123,8 +123,8 @@ class DisseminationSystem(ABC):
         self.metrics = MetricsRegistry()
         #: Bumped on every registration/allocation mutation; combined
         #: with the cluster's membership epoch it forms the *batch
-        #: epoch* (:meth:`_batch_epoch`) the pipeline pins per batch
-        #: to enforce the batch contract.
+        #: epoch* (:meth:`_batch_epoch`) that scopes the pipeline's
+        #: memos.
         self._mutation_epoch = 0
         #: The tracer dissemination reports to.  Defaults to the
         #: module default (the disabled no-op singleton unless
@@ -162,8 +162,8 @@ class DisseminationSystem(ABC):
         else:
             self._scorer = None
             self._kernel = None
-        #: The active batch's :class:`~repro.core.pipeline.BatchCaches`,
-        #: set by the pipeline around ``publish_batch`` so the scoring
+        #: The pipeline's :class:`~repro.core.pipeline.BatchCaches`,
+        #: set only while a ``publish_batch`` runs so the scoring
         #: kernel can share per-document vectors across node visits
         #: without widening the `_apply_semantics` signature.
         self._active_caches: Optional["BatchCaches"] = None
@@ -218,15 +218,18 @@ class DisseminationSystem(ABC):
     # -- batch contract ------------------------------------------------------
 
     def _batch_epoch(self) -> int:
-        """Epoch pinning the state the per-batch memos depend on.
+        """Epoch pinning the state the pipeline's memos depend on.
 
-        The sum of this system's mutation epoch (registration and
-        allocation changes) and the cluster's membership epoch (node
-        joins, crashes, recoveries); both only ever increase, so any
-        mid-batch mutation changes the sum.  The pipeline snapshots it
-        when a batch opens and re-checks it before every document,
-        raising :class:`~repro.errors.BatchContractError` on drift —
-        the enforcement half of the batch contract the caches assume.
+        The sum of this system's mutation epoch (registration,
+        allocation and home-posting hand-off changes) and the
+        cluster's membership epoch (node joins, crashes, recoveries);
+        both only ever increase, so any mutation changes the sum.  The
+        pipeline keeps its cache set while the epoch holds and replaces
+        it when the epoch moves; it also re-checks the epoch before
+        every document, raising :class:`~repro.errors.
+        BatchContractError` on a mid-batch move.  Every method that
+        mutates index, routing or allocation state must therefore bump
+        ``_mutation_epoch`` (or go through one that does).
         """
         cluster = getattr(self, "cluster", None)
         if cluster is None:
@@ -578,9 +581,9 @@ class DisseminationSystem(ABC):
     def publish(self, document: Document) -> DisseminationPlan:
         """Match ``document`` against all registered filters.
 
-        Literally a singleton batch: the staged pipeline runs with
-        fresh caches, so per-document and batched publishing share one
-        implementation and cannot drift apart.
+        Literally a singleton batch: per-document and batched
+        publishing share one implementation (and the epoch's cache
+        set) and cannot drift apart.
         """
         return self.publish_batch([document])[0]
 
@@ -594,9 +597,10 @@ class DisseminationSystem(ABC):
     ) -> List[DisseminationPlan]:
         """Publish ``documents`` as one batch, in order.
 
-        Runs the staged pipeline (:mod:`repro.core.pipeline`) with one
-        shared cache set, memoizing per-term routing and retrieval
-        work across the batch.  Batching is observationally inert:
+        Runs the staged pipeline (:mod:`repro.core.pipeline`) on the
+        cache set of the current epoch, memoizing per-term routing and
+        retrieval work until registration, allocation or membership
+        changes.  Batching is observationally inert:
         plans are bit-identical to the per-document loop under the
         same seed — equal matched sets, tasks, costs, and RNG
         consumption.  Registration, allocation, and cluster

@@ -122,14 +122,15 @@ class CentralizedSift:
         Every document term costs one dictionary probe (``y_p``) even
         when no posting list exists for it — SIFT must look the term up
         to find that out — plus the retrieval cost of the lists that do
-        exist.
+        exist.  Only the cost is modelled, so no matched filter is
+        collected or rehydrated.
         """
         pressure = self.disk_pressure_factor()
         y_probe = self.cost_model.config.y_p
         total_seconds = 0.0
         total_entries = 0
         for document in documents:
-            _, cost = self._matcher.match(document)
+            cost = self.index.all_terms_cost(document)
             total_entries += cost.posting_entries
             total_seconds += pressure * (
                 self.cost_model.match_time(
@@ -268,7 +269,7 @@ class CentralizedSystem(DisseminationSystem):
     def _retrieve_cached(
         self, caches: BatchCaches, term_id: int, term: str
     ) -> Retrieval:
-        """Central-index posting retrieval, memoized per batch."""
+        """Central-index posting retrieval, memoized per epoch."""
         entry = caches.retrieval.get(term_id)
         if entry is None:
             entry = caches.retrieve(term_id, self.index, term)

@@ -156,7 +156,7 @@ class InvertedListSystem(DisseminationSystem):
     def _retrieve_cached(
         self, caches: BatchCaches, node_id: str, term_id: int
     ) -> Retrieval:
-        """Posting retrieval for one home term, memoized per batch
+        """Posting retrieval for one home term, memoized per epoch
         (the home node derives from the term, so the id alone keys it).
         """
         entry = caches.retrieval.get(term_id)
@@ -200,7 +200,9 @@ class InvertedListSystem(DisseminationSystem):
         map to new home nodes; their posting lists are handed off so
         the home-node invariant — every term's filters live on its
         current home — is restored.  Returns the number of filter
-        replicas moved.
+        replicas moved.  A hand-off changes which home index serves a
+        term, so it moves the batch epoch and the pipeline's memoized
+        retrievals are rebuilt on the next batch.
         """
         moved = 0
         for node_id, index in list(self._indexes.items()):
@@ -217,6 +219,7 @@ class InvertedListSystem(DisseminationSystem):
                     )
                     storage_load.add(new_home, 1.0)
                     moved += 1
+        self._mutation_epoch += 1
         return moved
 
     # -- diagnostics ---------------------------------------------------------

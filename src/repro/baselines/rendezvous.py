@@ -23,7 +23,8 @@ Dissemination runs through the staged pipeline
 (:mod:`repro.core.pipeline`): route resolution is the partition list
 itself (flooding has no pruning), and execution memoizes each
 partition's live-replica roster and each replica's per-term posting
-retrievals across the batch — the per-partition replica *choice* stays
+retrievals until membership or registration changes — the
+per-partition replica *choice* stays
 a fresh RNG draw per document, exactly as in the seed implementation.
 """
 
@@ -213,7 +214,7 @@ class RendezvousSystem(DisseminationSystem):
         term_id: int,
         term: str,
     ) -> Retrieval:
-        """Per-replica posting retrieval, memoized per batch (RS nodes
+        """Per-replica posting retrieval, memoized per epoch (RS nodes
         index under all terms, so the node must be part of the key)."""
         key = (node_id, term_id)
         entry = caches.retrieval.get(key)

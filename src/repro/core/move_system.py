@@ -130,6 +130,18 @@ class MoveSystem(DisseminationSystem):
     def home_of(self, term: str) -> str:
         return self.cluster.ring.home_node(term)
 
+    def home_index(self, node_id: str) -> InvertedIndex:
+        """The home index of ``node_id``, created empty on first use.
+
+        A node that joined the ring owns terms before :meth:`rebalance`
+        hands their postings over; until then its home index is empty
+        (as IL's ``index_of`` treats it), not missing.
+        """
+        index = self._home_indexes.get(node_id)
+        if index is None:
+            index = self._home_indexes[node_id] = self._make_index()
+        return index
+
     def _register(self, profile: Filter) -> None:
         self.term_stats.register_filter(profile)
         self._filter_churn_since_apply += 1
@@ -140,7 +152,7 @@ class MoveSystem(DisseminationSystem):
             node_id = self.home_of(term)
             key = node_id if aggregate else term
             key_epochs[key] = key_epochs.get(key, 0) + 1
-            self._home_indexes[node_id].add_filter(
+            self.home_index(node_id).add_filter(
                 profile, indexed_terms=[term]
             )
             storage_load.add(node_id, 1.0)
@@ -174,7 +186,7 @@ class MoveSystem(DisseminationSystem):
                     bloom.add(term)
                 self._write_through_allocation(profile, node_id, term)
         for node_id, buffered in buffers.items():
-            self._home_indexes[node_id].add_filters(buffered)
+            self.home_index(node_id).add_filters(buffered)
 
     def _write_through_allocation(
         self, profile: Filter, home_id: str, term: str
@@ -216,7 +228,7 @@ class MoveSystem(DisseminationSystem):
             home_id = self.home_of(term)
             origin_key = home_id if aggregate else term
             key_epochs[origin_key] = key_epochs.get(origin_key, 0) + 1
-            index = self._home_indexes[home_id]
+            index = self.home_index(home_id)
             if profile.filter_id in index:
                 index.remove_filter(profile.filter_id)
             if self.plan is None:
@@ -416,7 +428,7 @@ class MoveSystem(DisseminationSystem):
         self._allocated_indexes = defaultdict(dict)
         for key, table in plan.tables.items():
             grid = table.grid
-            home_index = self._home_indexes[grid.home_node]
+            home_index = self.home_index(grid.home_node)
             subset_indexes: Dict[str, InvertedIndex] = {}
             for row in grid.rows:
                 for node_id in row:
@@ -532,7 +544,7 @@ class MoveSystem(DisseminationSystem):
         """
         grid = table.grid
         home_id = grid.home_node
-        home_index = self._home_indexes[home_id]
+        home_index = self.home_index(home_id)
         subset_holders = grid.subset_holders()
         old_grid = old_table.grid if old_table is not None else None
         old_subset_holders = (
@@ -653,12 +665,12 @@ class MoveSystem(DisseminationSystem):
     def _home_retrieve(
         self, caches: BatchCaches, home_id: str, term_id: int
     ) -> Retrieval:
-        """Home-index posting retrieval, memoized per batch."""
+        """Home-index posting retrieval, memoized per epoch."""
         entry = caches.retrieval.get(term_id)
         if entry is None:
             entry = caches.retrieve(
                 term_id,
-                self._home_indexes[home_id],
+                self.home_index(home_id),
                 DEFAULT_INTERNER.term(term_id),
             )
         return entry
@@ -670,7 +682,7 @@ class MoveSystem(DisseminationSystem):
         origin_key: str,
         term_id: int,
     ) -> Retrieval:
-        """Allocated-subset-index retrieval, memoized per batch."""
+        """Allocated-subset-index retrieval, memoized per epoch."""
         key = (node_id, origin_key, term_id)
         entry = caches.retrieval.get(key)
         if entry is None:
@@ -690,7 +702,7 @@ class MoveSystem(DisseminationSystem):
         term_id: int,
     ) -> List[Tuple[int, str, Filter]]:
         """Home posting of one term annotated with each filter's grid
-        subset, memoized per batch (saves one stable hash per filter
+        subset, memoized per epoch (saves one stable hash per filter
         per document on the home-fallback and lost-subset paths)."""
         key = (origin_key, term_id)
         triples = caches.home_subsets.get(key)
@@ -863,8 +875,7 @@ class MoveSystem(DisseminationSystem):
         over the new membership.  Returns filter replicas moved.
         """
         for node_id in self.cluster.node_ids():
-            if node_id not in self._home_indexes:
-                self._home_indexes[node_id] = self._make_index()
+            self.home_index(node_id)
         moved = 0
         aggregate = self.config.allocation.aggregate_per_node
         key_epochs = self._key_epochs
@@ -880,12 +891,15 @@ class MoveSystem(DisseminationSystem):
                     (node_id, new_home) if aggregate else (term,)
                 ):
                     key_epochs[key] = key_epochs.get(key, 0) + 1
-                target_index = self._home_indexes[new_home]
+                target_index = self.home_index(new_home)
                 for profile in filters:
                     target_index.add_filter(
                         profile, indexed_terms=[term]
                     )
                     moved += 1
+        # The hand-off changed which home index serves a term: move the
+        # batch epoch here, not only through the re-allocation below.
+        self._mutation_epoch += 1
         # Ring changes leave grid copies out of sync with the moved
         # home postings (the hand-off above bypasses the write-through
         # path) and may reference departed nodes, so the diff-driven

@@ -20,24 +20,28 @@ per batch of documents:
    construction and the Figure 9 load metrics, identical for every
    scheme (:meth:`DisseminationPipeline._disseminate`).
 
-Batch-level memoization lives here, once: :class:`BatchCaches` holds
-the per-term route decisions, posting-list retrievals, forwarding-row
-groupings, and home-subset annotations that are pure functions of
-registration + allocation state, which the batch contract freezes for
-the batch's duration.  Systems supply only their route-resolution and
-matching callbacks; ``publish()`` is literally
-``publish_batch([document])[0]`` (a singleton batch with fresh caches),
-so batching changes *when* work is shared, never *what* is computed —
-plans and RNG consumption are bit-identical either way.
+Memoization lives here, once: :class:`BatchCaches` holds the per-term
+route decisions, posting-list retrievals, forwarding-row groupings,
+and home-subset annotations that are pure functions of registration +
+allocation + membership state.  The pipeline keeps one cache set per
+*epoch* — the counter
+:meth:`~repro.baselines.base.DisseminationSystem._batch_epoch` moves
+on every registration, allocation or membership change — and reuses
+it across batches until the epoch moves.  Systems supply only their
+route-resolution and matching callbacks; ``publish()`` is literally
+``publish_batch([document])[0]``, so batching changes *when* work is
+shared, never *what* is computed — plans and RNG consumption are
+bit-identical either way, and identical to a twin that drops the
+cache before every batch.
 
-**The batch contract is enforced, not assumed.**  Every mutation of
-registration (``subscribe`` / ``unregister``),
-allocation (``MoveSystem`` plan applies), or cluster membership
-(node join/crash/recovery) bumps an epoch counter; the pipeline
-snapshots it into :attr:`BatchCaches.epoch` when the batch opens and
-re-checks it before each document.  A mid-batch mutation — reachable
-from the asyncio service runtime (:mod:`repro.serve`), or from a
-stage-hook override calling back into the system — raises
+**The epoch contract is enforced, not assumed.**  Every mutation of
+registration (``subscribe`` / ``unregister``), allocation
+(``MoveSystem`` plan applies, home-posting hand-offs on
+``rebalance``), or cluster membership (node join/crash/recovery)
+bumps the epoch; a batch opens on the cache set of the current epoch
+and re-checks the epoch before each document.  A mid-batch mutation —
+reachable from the asyncio service runtime (:mod:`repro.serve`), or
+from a stage-hook override calling back into the system — raises
 :class:`~repro.errors.BatchContractError` instead of silently serving
 stale memos.
 
@@ -72,7 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..matching.inverted_index import InvertedIndex
 
 #: Sentinel distinguishing "never routed" from "pruned by the Bloom
-#: filter" in the per-batch route memo.
+#: filter" in the route memo.
 _UNROUTED = object()
 
 #: Memoized posting retrieval: (filters, their filter ids, posting
@@ -177,24 +181,27 @@ class TracedWorkAccumulator(WorkAccumulator):
 
 
 class BatchCaches:
-    """Per-batch memos for the staged pipeline.
+    """Epoch-scoped memos for the staged pipeline.
 
-    Everything here is a pure function of registration, allocation,
-    and cluster-membership state, which the batch contract freezes for
-    the batch's duration.  Term-keyed maps use the dense shared-
-    interner term id; composite keys are scheme-chosen tuples (ints
-    and tuples never collide, so one map serves every scheme).
+    Everything here except :attr:`doc_scores` is a pure function of
+    registration, allocation, and cluster-membership state.  Term-keyed
+    maps use the dense shared-interner term id; composite keys are
+    scheme-chosen tuples (ints and tuples never collide, so one map
+    serves every scheme).
 
-    **Lifetime.**  A cache set lives for exactly one ``publish_batch``
-    call and must never outlive it; the pipeline constructs a fresh
-    instance per batch and discards it afterwards.  :attr:`epoch`
-    pins the system's batch epoch (registration + allocation +
-    membership counters, see
-    :meth:`~repro.baselines.base.DisseminationSystem._batch_epoch`)
-    at construction; the pipeline compares it before every document
-    and raises :class:`~repro.errors.BatchContractError` on a
-    mid-batch mutation.  ``epoch=None`` (direct construction in tests
-    or tooling) disables the check.
+    **Lifetime.**  A cache set lives for one *epoch*, not one batch:
+    the owning :class:`DisseminationPipeline` reuses it for every
+    batch opened while the system's batch epoch
+    (:meth:`~repro.baselines.base.DisseminationSystem._batch_epoch`)
+    equals :attr:`epoch`, and replaces it when the epoch moves.
+    :attr:`doc_scores` is keyed by ``id(document)`` and therefore
+    cleared when each batch closes.  The pipeline compares
+    :attr:`epoch` before every document and raises
+    :class:`~repro.errors.BatchContractError` on a mid-batch mutation.
+    A cache set is never pickled: snapshots carry the state it is
+    derived from, and a restored pipeline starts with none.
+    ``epoch=None`` (direct construction in tests or tooling) marks a
+    set no pipeline owns.
     """
 
     __slots__ = (
@@ -207,8 +214,8 @@ class BatchCaches:
     )
 
     def __init__(self, epoch: Optional[int] = None) -> None:
-        #: The owning system's batch epoch at batch open (``None``
-        #: disables mid-batch mutation checking).
+        #: The owning system's batch epoch this set memoizes (``None``
+        #: for a set no pipeline owns).
         self.epoch = epoch
         #: term id -> destination node, or None when pruned (Bloom).
         self.route: Dict[int, Optional[str]] = {}
@@ -227,11 +234,12 @@ class BatchCaches:
         ] = {}
         #: id(document) -> :class:`repro.matching.kernel.DocumentScores`
         #: (tf–idf weights, norm, suffix masses, per-filter score
-        #: memo), shared by every node/partition visit of the batch.
-        #: Entries hold a strong reference to their document, so the
-        #: id key cannot be recycled while the cache lives; epochs on
-        #: the entry (IDF ``documents_seen`` + kernel registration)
-        #: invalidate it if statistics or registration change.
+        #: memo), shared by every node/partition visit of the batch and
+        #: cleared when the batch closes.  Entries hold a strong
+        #: reference to their document, so the id key cannot be
+        #: recycled while the batch runs; epochs on the entry (IDF
+        #: ``documents_seen`` + kernel registration) invalidate it if
+        #: statistics or registration change.
         self.doc_scores: Dict[int, object] = {}
 
     def retrieve(
@@ -262,9 +270,9 @@ class ExecutionContext:
 
     **Lifetime.**  A context lives for exactly one document within one
     batch — it is constructed by the pipeline's ingest stage and dies
-    with the document's plan.  It borrows the batch's
+    with the document's plan.  It borrows the pipeline's
     :class:`BatchCaches` (it does not own them) and therefore inherits
-    the batch contract: the registration/allocation/membership state
+    the epoch contract: the registration/allocation/membership state
     the caches memoize must not change while the context is in flight.
     Stage hooks must not retain a context (or its ``caches``) past the
     ``_execute`` call that received it.
@@ -302,7 +310,7 @@ def group_terms_by_home(
 
     Bloom-prunes the document's terms and groups the survivors (as
     dense term ids) by their ring home node, memoizing the per-term
-    prune + route decision across the batch.
+    prune + route decision for the cache set's epoch.
     """
     route = caches.route
     grouped: Dict[str, List[int]] = {}
@@ -326,8 +334,8 @@ def group_terms_by_home(
 class DisseminationPipeline:
     """The staged engine driving one system's dissemination.
 
-    Owns the stage sequencing and the scheme-independent stages
-    (per-batch cache lifetime, batch-contract enforcement, task
+    Owns the stage sequencing and the scheme-independent stages (the
+    epoch-scoped cache set, epoch-contract enforcement, task
     materialization, Figure 9 load accounting); delegates route
     resolution and matching to the system's stage hooks.  The
     per-document hook order — observe, ingest draw, route, execute —
@@ -340,7 +348,7 @@ class DisseminationPipeline:
     all span timestamps share a timebase.
     """
 
-    __slots__ = ("system", "clock")
+    __slots__ = ("system", "clock", "_caches")
 
     def __init__(
         self,
@@ -349,11 +357,66 @@ class DisseminationPipeline:
     ) -> None:
         self.system = system
         self.clock = clock if clock is not None else PERF_CLOCK
+        #: The cache set of the current epoch (``None`` until the
+        #: first batch, and after unpickling).
+        self._caches: Optional[BatchCaches] = None
+
+    def __getstate__(self):
+        # The cache set is derived state: leave it out of snapshots.
+        # Same ``(None, slots)`` shape as the default slots pickle, so
+        # snapshots written before the cache outlived a batch load too.
+        return None, {"system": self.system, "clock": self.clock}
+
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        self.system = slots["system"]
+        self.clock = slots["clock"]
+        self._caches = None
+
+    def _run_batch(
+        self,
+        documents: Sequence[Document],
+        disseminate: Callable[[Document, BatchCaches], object],
+    ) -> list:
+        """Open a batch and run ``disseminate`` over its documents.
+
+        The one batch opener of the untraced, predicated and traced
+        loops: reuses the cache set while the system's batch epoch is
+        unchanged and replaces it when the epoch has moved, exposes it
+        to the scoring kernel for the batch (via ``_active_caches`` —
+        `_apply_semantics`'s two-argument signature is public API for
+        subclassers and cannot carry it), and re-checks the epoch
+        before every document.  Closing the batch drops the
+        per-document score vectors, which key by ``id(document)``.
+        """
+        system = self.system
+        epoch = system._batch_epoch()
+        caches = self._caches
+        if caches is None or caches.epoch != epoch:
+            caches = self._caches = BatchCaches(epoch=epoch)
+        system._active_caches = caches
+        try:
+            results = []
+            for document in documents:
+                if caches.epoch != system._batch_epoch():
+                    raise BatchContractError(
+                        f"{system.name}: registration, allocation, or "
+                        "cluster membership mutated inside a publish "
+                        f"batch (epoch {caches.epoch} -> "
+                        f"{system._batch_epoch()}); mutations must be "
+                        "serialized between batches — the memos would "
+                        "otherwise be stale"
+                    )
+                results.append(disseminate(document, caches))
+            return results
+        finally:
+            caches.doc_scores.clear()
+            system._active_caches = None
 
     def publish_batch(
         self, documents: Sequence[Document]
     ) -> List[DisseminationPlan]:
-        """Disseminate ``documents`` in order, sharing one cache set.
+        """Disseminate ``documents`` in order on the epoch's cache set.
 
         When the system's tracer is enabled, dissemination runs the
         traced twin (:meth:`_publish_batch_traced`) instead; the two
@@ -379,34 +442,12 @@ class DisseminationPipeline:
         dispatcher above — their ratio isolates exactly what tracing
         costs when disabled.
         """
-        system = self.system
-        caches = BatchCaches(epoch=system._batch_epoch())
-        disseminate = self._disseminate
-        # Expose the batch caches to the scoring kernel (via
-        # `_apply_semantics`, whose two-argument signature is public
-        # API for subclassers and cannot carry them).
-        system._active_caches = caches
-        try:
-            return [
-                disseminate(document, caches) for document in documents
-            ]
-        finally:
-            system._active_caches = None
+        return self._run_batch(documents, self._disseminate)
 
     def _disseminate(
         self, document: Document, caches: BatchCaches
     ) -> DisseminationPlan:
         system = self.system
-        if caches.epoch is not None and (
-            caches.epoch != system._batch_epoch()
-        ):
-            raise BatchContractError(
-                f"{system.name}: registration, allocation, or cluster "
-                "membership mutated inside a publish batch (epoch "
-                f"{caches.epoch} -> {system._batch_epoch()}); mutations "
-                "must be serialized between batches — the per-batch "
-                "memos would otherwise be stale"
-            )
         system._observe(document)
         ctx = ExecutionContext(document, system._choose_ingest(), caches)
         routes = system._resolve_routes(document, caches)
@@ -436,36 +477,16 @@ class DisseminationPipeline:
         check), so systems holding only flat filters never pay for it:
         :meth:`_publish_batch_untraced` stays byte-identical to the
         pre-predicate pipeline.  Everything up to the execute stage —
-        cache lifetime, hook order, RNG consumption — is identical;
+        cache set, hook order, RNG consumption — is identical;
         the gate only *removes* ids from the matched set afterwards
         (it consumes no RNG), so flat subscriptions disseminate
         bit-identically on either loop.
         """
-        system = self.system
-        caches = BatchCaches(epoch=system._batch_epoch())
-        disseminate = self._disseminate_predicated
-        system._active_caches = caches
-        evaluated = 0
-        rejected = 0
-        try:
-            plans: List[DisseminationPlan] = []
-            for document in documents:
-                plan, doc_evaluated, doc_rejected = disseminate(
-                    document, caches
-                )
-                evaluated += doc_evaluated
-                rejected += doc_rejected
-                plans.append(plan)
-            return plans
-        finally:
-            system._active_caches = None
-            metrics = system.metrics
-            metrics.counter("predicate_evaluated").add(float(evaluated))
-            metrics.counter("predicate_rejected").add(float(rejected))
+        return self._run_batch(documents, self._disseminate_predicated)
 
     def _disseminate_predicated(
         self, document: Document, caches: BatchCaches
-    ) -> Tuple[DisseminationPlan, int, int]:
+    ) -> DisseminationPlan:
         """:meth:`_disseminate` plus the delivery-boundary gate.
 
         The gate runs between execution and accounting — in
@@ -475,16 +496,6 @@ class DisseminationPipeline:
         (the same convention the threshold semantics established).
         """
         system = self.system
-        if caches.epoch is not None and (
-            caches.epoch != system._batch_epoch()
-        ):
-            raise BatchContractError(
-                f"{system.name}: registration, allocation, or cluster "
-                "membership mutated inside a publish batch (epoch "
-                f"{caches.epoch} -> {system._batch_epoch()}); mutations "
-                "must be serialized between batches — the per-batch "
-                "memos would otherwise be stale"
-            )
         system._observe(document)
         ctx = ExecutionContext(document, system._choose_ingest(), caches)
         routes = system._resolve_routes(document, caches)
@@ -492,19 +503,21 @@ class DisseminationPipeline:
         evaluated, rejected = system._apply_predicate_gate(
             document, ctx.matched
         )
+        metrics = system.metrics
+        metrics.counter("predicate_evaluated").add(float(evaluated))
+        metrics.counter("predicate_rejected").add(float(rejected))
         tasks = ctx.work.tasks()
         unreachable = ctx.unreachable
         unreachable.difference_update(ctx.matched)
         system._account_tasks(tasks)
-        system.metrics.counter("documents_published").add()
-        plan = DisseminationPlan(
+        metrics.counter("documents_published").add()
+        return DisseminationPlan(
             document=document,
             matched_filter_ids=ctx.matched,
             tasks=tasks,
             unreachable_filter_ids=unreachable,
             routing_messages=ctx.routing_messages,
         )
-        return plan, evaluated, rejected
 
     # -- traced twin ---------------------------------------------------------
 
@@ -514,25 +527,21 @@ class DisseminationPipeline:
         """The traced mirror of :meth:`publish_batch`.
 
         One root ``publish_batch`` span per batch; everything else —
-        cache lifetime, hook order, RNG consumption, accounting — is
+        cache set, hook order, RNG consumption, accounting — is
         identical to the untraced path, so plans are bit-for-bit the
         same.
         """
-        system = self.system
-        caches = BatchCaches(epoch=system._batch_epoch())
-        system._active_caches = caches
-        try:
-            with tracer.span(
-                "publish_batch",
-                system=system.name,
-                batch_size=len(documents),
-            ):
-                return [
-                    self._disseminate_traced(document, caches, tracer)
-                    for document in documents
-                ]
-        finally:
-            system._active_caches = None
+        with tracer.span(
+            "publish_batch",
+            system=self.system.name,
+            batch_size=len(documents),
+        ):
+            return self._run_batch(
+                documents,
+                lambda document, caches: self._disseminate_traced(
+                    document, caches, tracer
+                ),
+            )
 
     def _disseminate_traced(
         self, document: Document, caches: BatchCaches, tracer
@@ -548,16 +557,6 @@ class DisseminationPipeline:
         once they are known.
         """
         system = self.system
-        if caches.epoch is not None and (
-            caches.epoch != system._batch_epoch()
-        ):
-            raise BatchContractError(
-                f"{system.name}: registration, allocation, or cluster "
-                "membership mutated inside a publish batch (epoch "
-                f"{caches.epoch} -> {system._batch_epoch()}); mutations "
-                "must be serialized between batches — the per-batch "
-                "memos would otherwise be stale"
-            )
         with tracer.span(
             "publish", system=system.name, document_id=document.doc_id
         ) as doc_span:

@@ -357,6 +357,25 @@ class InvertedIndex:
             )
         return self.filters_for_term(term)
 
+    def all_terms_cost(self, document: Document) -> RetrievalCost:
+        """The disk work of :meth:`match_document_all_terms` alone.
+
+        Counts the present posting lists of the document's terms and
+        their entries without collecting or rehydrating a filter — for
+        callers that model the retrieval and discard the matches.
+        """
+        lookup = self.slab.interner.lookup
+        postings = self._postings
+        lists = 0
+        entries = 0
+        for term in document.terms:
+            term_id = lookup(term)
+            plist = postings.get(term_id) if term_id is not None else None
+            if plist is not None:
+                lists += 1
+                entries += len(plist)
+        return RetrievalCost(lists, entries)
+
     def match_document_all_terms(
         self, document: Document
     ) -> Tuple[List[Filter], RetrievalCost]:

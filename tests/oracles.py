@@ -8,6 +8,12 @@ routes all candidates through its candidate-dedup path (see
 ``DisseminationSystem._kernel_accumulates``), so the twin runs the
 pre-kernel program — routing, RNG draws and cost accounting unchanged,
 only the scoring replaced.
+
+:func:`cold_cache_twin` rebuilds any system as a twin whose pipeline
+drops its memo set before every batch, so each batch recomputes every
+route decision, posting retrieval and routing grouping from live
+state.  The epoch-scoped caches must be invisible next to it: equal
+plans, RNG streams and stored replicas.
 """
 
 from __future__ import annotations
@@ -19,7 +25,19 @@ from repro.matching.inverted_index import InvertedIndex, RetrievalCost
 from repro.matching.vsm import VsmScorer
 from repro.model import Document, Filter
 
-_NAIVE_CLASSES: Dict[type, Type[DisseminationSystem]] = {}
+_TWIN_CLASSES: Dict[Tuple[str, type], Type[DisseminationSystem]] = {}
+
+
+def _swap_class(system, prefix: str, make_attrs) -> DisseminationSystem:
+    """Switch ``system`` (in place) onto a memoized subclass of its
+    class named ``prefix + name`` with ``make_attrs(cls)`` as body."""
+    cls = type(system)
+    twin_cls = _TWIN_CLASSES.get((prefix, cls))
+    if twin_cls is None:
+        twin_cls = type(f"{prefix}{cls.__name__}", (cls,), make_attrs(cls))
+        _TWIN_CLASSES[(prefix, cls)] = twin_cls
+    system.__class__ = twin_cls
+    return system
 
 
 def _naive_apply_semantics(
@@ -42,17 +60,29 @@ def naive_threshold_twin(system: DisseminationSystem) -> DisseminationSystem:
     """
     if system.threshold is None:
         raise ValueError("the naive twin needs a threshold system")
-    cls = type(system)
-    naive_cls = _NAIVE_CLASSES.get(cls)
-    if naive_cls is None:
-        naive_cls = type(
-            f"Naive{cls.__name__}",
-            (cls,),
-            {"_apply_semantics": _naive_apply_semantics},
-        )
-        _NAIVE_CLASSES[cls] = naive_cls
-    system.__class__ = naive_cls
-    return system
+    return _swap_class(
+        system,
+        "Naive",
+        lambda cls: {"_apply_semantics": _naive_apply_semantics},
+    )
+
+
+def cold_cache_twin(system: DisseminationSystem) -> DisseminationSystem:
+    """Switch ``system`` (in place) onto a pipeline with no memo reuse.
+
+    Every ``publish_batch`` (and so every ``publish``) first drops the
+    pipeline's cache set, as the pipeline did before its memos lasted
+    an epoch.  Composes with :func:`naive_threshold_twin`.
+    """
+
+    def make_attrs(cls):
+        def publish_batch(self, documents):
+            self._engine._caches = None
+            return cls.publish_batch(self, documents)
+
+        return {"publish_batch": publish_batch}
+
+    return _swap_class(system, "Cold", make_attrs)
 
 
 def brute_force_sift(

@@ -175,6 +175,33 @@ class TestCentralizedSift:
             result.document_throughput * 10
         )
 
+    def test_batch_costs_without_rehydrating(self, monkeypatch):
+        from repro.model.slab import FilterSlabStore
+
+        node = CentralizedSift()
+        node.register_all(
+            [Filter.from_terms(f"f{i}", [f"t{i % 7}", "common"])
+             for i in range(60)]
+        )
+        documents = [
+            Document.from_terms("d1", ["t1", "t2", "absent"]),
+            Document.from_terms("d2", ["common", "t3"]),
+            Document.from_terms("d3", ["absent"]),
+        ]
+        expected = [
+            node.index.match_document_all_terms(d)[1] for d in documents
+        ]
+        assert [node.index.all_terms_cost(d) for d in documents] == expected
+
+        def no_get(self, slot):
+            raise AssertionError("run_batch rehydrated a filter")
+
+        monkeypatch.setattr(FilterSlabStore, "get", no_get)
+        result = node.run_batch(documents)
+        assert result.total_posting_entries == sum(
+            cost.posting_entries for cost in expected
+        )
+
     def test_disk_pressure_above_capacity(self):
         node = CentralizedSift(
             memory_capacity=5, disk_pressure_slope=1.0

@@ -85,6 +85,31 @@ class TestILRebalance:
         system, _cluster = self._system(filters)
         assert system.rebalance() == 0
 
+    def test_rebalance_moves_the_batch_epoch(self, tiny_workload):
+        filters, _documents = tiny_workload
+        system, cluster = self._system(filters)
+        cluster.add_node()
+        before = system._batch_epoch()
+        assert system.rebalance() > 0
+        assert system._batch_epoch() > before
+
+    def test_memos_from_before_rebalance_are_not_served(
+        self, tiny_workload
+    ):
+        # A batch between the join and the rebalance memoizes the new
+        # homes' still-empty postings; the hand-off must invalidate
+        # them, or the next batches miss every moved filter.
+        filters, documents = tiny_workload
+        system, cluster = self._system(filters)
+        cluster.add_node()
+        cluster.add_node()
+        system.publish_batch(documents[:20])
+        assert system.rebalance() > 0
+        for plan in system.publish_batch(documents[:20]):
+            assert plan.matched_filter_ids == _oracle_ids(
+                plan.document, filters
+            )
+
 
 class TestMoveRebalance:
     def test_join_rebalance_reallocates_and_stays_complete(
@@ -130,3 +155,25 @@ class TestMoveRebalance:
             for term in index.terms()
         )
         assert appears
+
+    def test_publish_between_join_and_rebalance(self, tiny_workload):
+        # The joined node owns terms before any posting is handed
+        # over: its home index is empty, not missing.
+        filters, documents = tiny_workload
+        config = _config()
+        cluster = Cluster(config.cluster)
+        system = MoveSystem(cluster, config)
+        system.subscribe(filters)
+        system.seed_frequencies(documents[:10])
+        system.finalize_registration()
+        cluster.add_node()
+        cluster.add_node()
+        for plan in system.publish_batch(documents[:20]):
+            assert plan.matched_filter_ids <= _oracle_ids(
+                plan.document, filters
+            )
+        assert system.rebalance() > 0
+        for plan in system.publish_batch(documents[:20]):
+            assert plan.matched_filter_ids == _oracle_ids(
+                plan.document, filters
+            )

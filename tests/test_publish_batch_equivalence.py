@@ -5,10 +5,11 @@ must not change a single bit of the outcome: same matched filter-id
 sets, same unreachable sets, same :class:`NodeTask` tuples (and hence
 the same RetrievalCost totals), same routing-message counts, and the
 same RNG stream consumption.  Each test builds two identically-seeded
-systems, runs per-document :meth:`publish` on one (a singleton batch
-with fresh caches per document — no cross-document sharing, with the
-ring's home-node memo disabled to recover the seed routing exactly)
-and :meth:`publish_batch` on the other, and diffs every plan field.
+systems, runs per-document :meth:`publish` on one (the cold-cache twin
+of :func:`tests.oracles.cold_cache_twin`: a singleton batch with fresh
+caches per document — no cross-document sharing, with the ring's
+home-node memo disabled to recover the seed routing exactly) and
+:meth:`publish_batch` on the other, and diffs every plan field.
 
 The reference system subscribes one profile at a time and the batched
 one in a single ``subscribe`` call, so bulk registration's
@@ -35,6 +36,8 @@ from repro.experiments.harness import (
     build_cluster,
     make_system,
 )
+
+from tests.oracles import cold_cache_twin
 
 #: Small enough to keep the suite fast, large enough that per-term
 #: memos actually get hit across documents.
@@ -109,7 +112,9 @@ def _assert_plans_identical(reference_plans, batched_plans):
 
 def _run_equivalence(scheme, threshold=None, per_term=False, fail=0.0):
     bundle = WORKLOAD.build()
-    slow = _build(scheme, bundle, threshold=threshold, per_term=per_term)
+    slow = cold_cache_twin(
+        _build(scheme, bundle, threshold=threshold, per_term=per_term)
+    )
     fast = _build(
         scheme, bundle, threshold=threshold, per_term=per_term, bulk=True
     )
@@ -154,7 +159,7 @@ def test_batch_consumes_same_rng_stream(scheme):
     are in the same state: interleaving more publishes stays identical.
     """
     bundle = WORKLOAD.build()
-    slow = _build(scheme, bundle)
+    slow = cold_cache_twin(_build(scheme, bundle))
     fast = _build(scheme, bundle)
     slow.cluster.ring.cache_enabled = False
     half = len(bundle.documents) // 2
@@ -165,7 +170,8 @@ def test_batch_consumes_same_rng_stream(scheme):
     reference_plans = [slow.publish(document) for document in first]
     batched_plans = fast.publish_batch(first)
     _assert_plans_identical(reference_plans, batched_plans)
-    # Second batch: caches are rebuilt, RNG streams must still agree.
+    # Second batch: the batched system reuses its epoch memos, and
+    # the RNG streams must still agree.
     reference_plans = [slow.publish(document) for document in second]
     batched_plans = fast.publish_batch(second)
     _assert_plans_identical(reference_plans, batched_plans)
@@ -196,7 +202,7 @@ def test_publish_override_no_longer_reroutes_batches():
     documents = bundle.documents[:5]
     plans = legacy.publish_batch(documents)
     assert calls == []
-    reference = _build("il", bundle)
+    reference = cold_cache_twin(_build("il", bundle))
     reference.cluster.ring.cache_enabled = False
     _assert_plans_identical(
         [reference.publish(document) for document in documents], plans
