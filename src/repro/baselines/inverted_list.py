@@ -182,11 +182,14 @@ class InvertedListSystem(DisseminationSystem):
         return self._ingest_rng.choice(live)
 
     def _unregister(self, profile: Filter) -> None:
-        """Remove the filter from every home node that indexed it."""
+        """Remove the filter from every home node that indexed it.
+
+        Every index is searched, not only each term's current home:
+        between a ring join and :meth:`rebalance` a moved term's
+        postings still sit on its old home.
+        """
         storage_load = self.metrics.load("storage_replicas")
-        for term in profile.terms:
-            node_id = self.home_of(term)
-            index = self.index_of(node_id)
+        for node_id, index in self._indexes.items():
             if profile.filter_id in index:
                 index.remove_filter(profile.filter_id)
                 storage_load.add(node_id, 0.0)

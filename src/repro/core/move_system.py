@@ -219,18 +219,27 @@ class MoveSystem(DisseminationSystem):
             index.add_filter(profile, indexed_terms=[term])
 
     def _unregister(self, profile: Filter) -> None:
-        """Remove the filter from home indexes and live grid copies."""
+        """Remove the filter from home indexes and live grid copies.
+
+        Every home index is searched, not only each term's current
+        home: between a ring join and :meth:`rebalance` a moved term's
+        postings (and the grid keyed by its old home) still belong to
+        the old home.
+        """
         self.term_stats.popularity.unregister(profile)
         self._filter_churn_since_apply += 1
+        filter_id = profile.filter_id
+        homes = [
+            node_id
+            for node_id, index in self._home_indexes.items()
+            if filter_id in index
+        ]
+        for node_id in homes:
+            self._home_indexes[node_id].remove_filter(filter_id)
         aggregate = self.config.allocation.aggregate_per_node
         key_epochs = self._key_epochs
-        for term in profile.terms:
-            home_id = self.home_of(term)
-            origin_key = home_id if aggregate else term
+        for origin_key in homes if aggregate else profile.terms:
             key_epochs[origin_key] = key_epochs.get(origin_key, 0) + 1
-            index = self.home_index(home_id)
-            if profile.filter_id in index:
-                index.remove_filter(profile.filter_id)
             if self.plan is None:
                 continue
             table = self.plan.tables.get(origin_key)

@@ -21,7 +21,10 @@ Two details make the equivalence structural rather than hopeful:
   :mod:`repro.serve.wire`, and the live path applies inputs already in
   the canonical form that codec's decoder rebuilds (sorted term order,
   str-ified tuples), so live apply and replay apply execute identical
-  inputs;
+  inputs.  A document the wire decoded from canonical bytes carries
+  those bytes, and the record codec appends them verbatim: a
+  ``publish_batch`` record of an ``OP_INGEST_BATCH`` is a copy of the
+  request body, not a second encode;
 - replay tracks the last applied lsn and skips records at or below
   it, so replaying a log twice (or resuming a partially replayed
   one) is idempotent.
@@ -66,7 +69,7 @@ from .snapshot import (
     snapshot_lsn,
     write_snapshot,
 )
-from .wire import WireEncoder, decode_record, encode_record
+from .wire import WireEncoder, decode_record, encode_record, received_bytes
 
 
 def _is_sorted(terms: Sequence[str]) -> bool:
@@ -79,10 +82,12 @@ def _canonical_document(document: Document) -> Document:
     The journal applies the *same object* it encodes, so the object
     must already be in the canonical order a replay decode will
     reconstruct — otherwise live and recovered twins would
-    iterate ``term_counts`` differently.  Documents decoded by the
-    wire protocol arrive sorted already, so the common service path
-    takes the no-copy branch.
+    iterate ``term_counts`` differently.  A document the wire decoded
+    from canonical bytes is canonical by construction and skips the
+    scan; any other document is checked and, if need be, copied.
     """
+    if received_bytes(document) is not None:
+        return document
     counts = document.term_counts
     terms = list(counts)
     if _is_sorted(terms):
@@ -373,9 +378,10 @@ class JournaledSystem:
         """Log ``record``, then apply it.
 
         ``record`` carries live model objects; the codec canonicalizes
-        them into bytes once, and the same objects are applied — valid
-        because callers pre-canonicalize (sorted term order, str-ified
-        tuples, plain bools and floats) so encode → decode
+        them into bytes once (or reuses the bytes a canonical
+        document was decoded from), and the same objects are applied —
+        valid because callers pre-canonicalize (sorted term order,
+        str-ified tuples, plain bools and floats) so encode → decode
         reconstructs equal inputs.
         """
         lsn = self._writer.append(encode_record(self._enc, record))

@@ -276,33 +276,33 @@ class ServiceRuntime:
                 "runtime is draining; no new work accepted"
             )
 
+    def _admit(self, count: int) -> None:
+        """Shed ``count`` documents above the admission watermark.
+
+        Raises :class:`~repro.errors.AdmissionError` (and counts the
+        shed documents) when the queue depth has reached
+        ``admission_high_watermark × queue_capacity``; with the
+        watermark at 1.0 nothing is shed and a full queue
+        backpressures instead.
+        """
+        high = self.config.admission_high_watermark
+        if high >= 1.0:
+            return
+        watermark = max(1, int(high * self.config.queue_capacity))
+        if self._queue.qsize() >= watermark:
+            self.metrics.counter("serve.shed").add(float(count))
+            raise AdmissionError(
+                f"ingest queue at admission watermark "
+                f"({self._queue.qsize()}/"
+                f"{self.config.queue_capacity})"
+            )
+
     async def ingest(self, document: Document):
         """Queue one document; returns its dissemination plan.
 
-        Sheds with :class:`~repro.errors.AdmissionError` above the
-        admission watermark; otherwise blocks (backpressure) while
-        the queue is full.
+        A batch of one: see :meth:`ingest_batch`.
         """
-        self._check_intake()
-        if self.config.admission_high_watermark < 1.0:
-            watermark = max(
-                1,
-                int(
-                    self.config.admission_high_watermark
-                    * self.config.queue_capacity
-                ),
-            )
-            if self._queue.qsize() >= watermark:
-                self.metrics.counter("serve.shed").add()
-                raise AdmissionError(
-                    f"ingest queue at admission watermark "
-                    f"({self._queue.qsize()}/"
-                    f"{self.config.queue_capacity})"
-                )
-        future = asyncio.get_running_loop().create_future()
-        await self._queue.put(_Item("doc", document, future))
-        self.metrics.counter("serve.ingested").add()
-        return await future
+        return (await self.ingest_batch([document]))[0]
 
     async def ingest_batch(self, documents: List[Document]) -> List:
         """Queue a batch of documents; returns their plans in order.
@@ -310,28 +310,13 @@ class ServiceRuntime:
         One admission decision covers the whole batch (shed all or
         accept all); acceptance then enqueues per document, so the
         worker's micro-batcher and WAL commit window see the batch as
-        contiguous items and backpressure still applies per slot.
+        contiguous items and backpressure (blocking while the queue is
+        full) still applies per slot.
         """
         if not documents:
             return []
         self._check_intake()
-        if self.config.admission_high_watermark < 1.0:
-            watermark = max(
-                1,
-                int(
-                    self.config.admission_high_watermark
-                    * self.config.queue_capacity
-                ),
-            )
-            if self._queue.qsize() >= watermark:
-                self.metrics.counter("serve.shed").add(
-                    float(len(documents))
-                )
-                raise AdmissionError(
-                    f"ingest queue at admission watermark "
-                    f"({self._queue.qsize()}/"
-                    f"{self.config.queue_capacity})"
-                )
+        self._admit(len(documents))
         loop = asyncio.get_running_loop()
         futures = []
         for document in documents:

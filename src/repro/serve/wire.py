@@ -25,6 +25,15 @@ so a crash replay that rebuilds a :class:`~repro.model.Document` from
 bytes constructs it exactly like the live apply path did (see
 :meth:`repro.serve.journal.JournaledSystem._log_and_apply`).
 
+The decoder checks the order as it scans.  A document whose terms
+arrived strictly increasing (with minimal varints) is in the form the
+encoder would write, so it keeps the bytes it was decoded from
+(:func:`received_bytes`) and :func:`encode_document` appends them
+verbatim: journalling an ``OP_INGEST_BATCH`` copies the request body
+into the ``publish_batch`` record instead of encoding each document
+again.  A document that arrived out of order or with a repeated term
+carries no bytes and is re-encoded in sorted order.
+
 Frame format (protocol v3)
 --------------------------
 ``<u32 length (little-endian)> <payload>`` where a request payload is
@@ -200,8 +209,31 @@ class WireDecoder:
 # -- document / filter / plan codecs --------------------------------------
 
 
+#: Instance-dict key under which :func:`decode_document` keeps the
+#: bytes a canonical document was decoded from.
+_RECEIVED = "_wire_bytes"
+
+
+def received_bytes(document: Document) -> Optional[bytes]:
+    """The canonical encoding ``document`` was decoded from, or None.
+
+    Only :func:`decode_document` sets it, and only for bytes already
+    in the form :func:`encode_document` writes, so the two are
+    interchangeable.
+    """
+    return document.__dict__.get(_RECEIVED)
+
+
 def encode_document(enc: WireEncoder, document: Document) -> None:
-    """``str doc_id, varint n, [str term, varint count]`` sorted."""
+    """``str doc_id, varint n, [str term, varint count]`` sorted.
+
+    A document decoded from canonical bytes is written as those
+    bytes, verbatim.
+    """
+    received = received_bytes(document)
+    if received is not None:
+        enc.buf += received
+        return
     enc.string(document.doc_id)
     counts = document.term_counts
     enc.varint(len(counts))
@@ -210,16 +242,84 @@ def encode_document(enc: WireEncoder, document: Document) -> None:
         enc.varint(counts[term])
 
 
+def _long_varint(dec: WireDecoder, pos: int) -> Tuple[int, int, bool]:
+    """A varint of two or more bytes at ``pos``: ``(value, end,
+    minimal)``.  An over-long encoding (a trailing zero group) still
+    decodes but is not the form the encoder writes."""
+    dec.pos = pos
+    value = dec.varint()
+    return value, dec.pos, dec.data[dec.pos - 1] != 0
+
+
 def decode_document(dec: WireDecoder) -> Document:
-    doc_id = dec.string()
-    count = dec.varint()
-    counts: Dict[str, int] = {}
-    for _ in range(count):
-        term = dec.string()
-        counts[term] = dec.varint()
-    return Document(
+    """The inverse of :func:`encode_document`, in one scan of the bytes.
+
+    Lengths and counts below 128 (one varint byte) are read inline;
+    longer varints go through :meth:`WireDecoder.varint` and its
+    overflow check.  Terms that arrive strictly increasing, with
+    minimal varints, are the canonical form: the document then keeps
+    its bytes (see :func:`received_bytes`).  Unsorted or repeated
+    terms still decode — a repeated term keeps its last count — but
+    the document is re-encoded canonically when it is journalled.
+    """
+    data = dec.data
+    size = len(data)
+    start = pos = dec.pos
+    canonical = True
+    try:
+        length = data[pos]
+        if length < 0x80:
+            pos += 1
+        else:
+            length, pos, canonical = _long_varint(dec, pos)
+        end = pos + length
+        if end > size:
+            raise IndexError
+        doc_id = data[pos:end].decode("utf-8")
+        count = data[end]
+        if count < 0x80:
+            pos = end + 1
+        else:
+            count, pos, minimal = _long_varint(dec, end)
+            canonical = canonical and minimal
+        counts: Dict[str, int] = {}
+        previous = ""
+        for _ in range(count):
+            length = data[pos]
+            if length < 0x80:
+                pos += 1
+            else:
+                length, pos, minimal = _long_varint(dec, pos)
+                canonical = canonical and minimal
+            end = pos + length
+            if end > size:
+                raise IndexError
+            term = data[pos:end].decode("utf-8")
+            value = data[end]
+            if value < 0x80:
+                pos = end + 1
+            else:
+                value, pos, minimal = _long_varint(dec, end)
+                canonical = canonical and minimal
+            if term < previous:
+                canonical = False
+            previous = term
+            counts[term] = value
+    except IndexError:
+        raise ProtocolError(
+            f"truncated document at offset {start}"
+        ) from None
+    except UnicodeDecodeError as error:
+        raise ProtocolError(
+            f"document at offset {start} is not UTF-8: {error}"
+        ) from None
+    dec.pos = pos
+    document = Document(
         doc_id=doc_id, terms=frozenset(counts), term_counts=counts
     )
+    if canonical and len(counts) == count:
+        object.__setattr__(document, _RECEIVED, data[start:pos])
+    return document
 
 
 def encode_filter(enc: WireEncoder, profile: Filter) -> None:
@@ -312,10 +412,24 @@ def encode_plan_summary(
     fanout: int,
     posting_entries: int,
 ) -> None:
-    """The ``ingest`` response body: matched ids + fanout accounting."""
+    """The ``ingest`` response body: matched ids + fanout accounting.
+
+    An ASCII id shorter than 128 bytes encodes as ``chr(len)`` then
+    the id, so the whole list is one join; one ``isascii()`` on the
+    joined text checks both conditions for every id at once.  The
+    length prefixes go to the even slots of the join list and the ids
+    to the odd ones, which spares a concatenated string per id.
+    """
     enc.varint(len(matched))
-    for filter_id in matched:
-        enc.string(filter_id)
+    parts = [""] * (2 * len(matched))
+    parts[::2] = [chr(len(i)) for i in matched]
+    parts[1::2] = matched
+    joined = "".join(parts)
+    if joined.isascii():
+        enc.buf += joined.encode("ascii")
+    else:
+        for filter_id in matched:
+            enc.string(filter_id)
     enc.varint(fanout)
     enc.varint(posting_entries)
 

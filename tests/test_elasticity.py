@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.baselines import InvertedListSystem
 from repro.cluster import Cluster
 from repro.config import AllocationConfig, ClusterConfig, SystemConfig
 from repro.core import MoveSystem
+from repro.experiments.harness import (
+    ScaledWorkload,
+    build_cluster,
+    make_system,
+)
 from repro.model import brute_force_match
 
 
@@ -177,3 +184,34 @@ class TestMoveRebalance:
             assert plan.matched_filter_ids == _oracle_ids(
                 plan.document, filters
             )
+
+
+@pytest.mark.parametrize("scheme", ["move", "il", "rs", "central"])
+def test_unregister_between_join_and_rebalance(scheme):
+    """Unregistering while a moved term's postings still sit on its old
+    home removes the filter there too, so the hand-off that follows
+    neither trips over a freed slab slot nor resurrects the filter."""
+    bundle = ScaledWorkload(
+        num_filters=400,
+        num_documents=40,
+        num_nodes=8,
+        node_capacity=200,
+        vocabulary_size=1_500,
+        mean_doc_terms=24.0,
+        seed=11,
+    ).build()
+    cluster, config = build_cluster(8, 200, seed=2)
+    system = make_system(scheme, cluster, config)
+    system.subscribe(bundle.filters)
+    if isinstance(system, MoveSystem):
+        system.seed_frequencies(bundle.offline_corpus())
+    system.finalize_registration()
+    cluster.add_node()
+    dropped = set(random.Random(0).sample(sorted(system.subscriptions()), 100))
+    for filter_id in sorted(dropped):
+        system.unregister(filter_id)
+    if hasattr(system, "rebalance"):
+        system.rebalance()
+    live = [f for f in bundle.filters if f.filter_id not in dropped]
+    for plan in system.publish_batch(bundle.documents):
+        assert plan.matched_filter_ids == _oracle_ids(plan.document, live)
