@@ -1,58 +1,13 @@
-"""Micro-benchmarks of the cluster substrate (storage, gossip, client).
+"""Micro-benchmark of the cluster substrate's gossip rounds.
 
-Companion to ``bench_micro_components.py``: times the LSM column-family
-store's write/read/compaction paths, gossip round costs, and the
-replicated client's put/get — the substrate operations under every
-system-level number.
+Companion to ``bench_micro_components.py``: times the gossip
+membership protocol that disseminates liveness under every
+system-level failure number.
 """
 
 from __future__ import annotations
 
-from repro.cluster import (
-    Cluster,
-    ColumnFamilyStore,
-    GossipMembership,
-    KeyValueClient,
-)
-from repro.config import ClusterConfig
-
-
-def test_micro_lsm_writes(benchmark):
-    def write_batch():
-        store = ColumnFamilyStore("cf", memtable_flush_threshold=500)
-        for i in range(5_000):
-            store.put(f"row{i % 1_000}", f"col{i % 5}", i)
-        return store.flushes
-
-    flushes = benchmark(write_batch)
-    assert flushes >= 1
-
-
-def test_micro_lsm_reads_across_runs(benchmark):
-    store = ColumnFamilyStore("cf", memtable_flush_threshold=200)
-    for i in range(2_000):
-        store.put(f"row{i % 400}", "col", i)
-    store.flush()
-
-    def read_batch():
-        return sum(
-            store.get(f"row{i}", "col") or 0 for i in range(400)
-        )
-
-    total = benchmark(read_batch)
-    assert total > 0
-
-
-def test_micro_lsm_compaction(benchmark):
-    def build_and_compact():
-        store = ColumnFamilyStore("cf", memtable_flush_threshold=100)
-        for i in range(2_000):
-            store.put(f"row{i % 500}", "col", i)
-        store.compact()
-        return store.sstable_count
-
-    count = benchmark(build_and_compact)
-    assert count == 1
+from repro.cluster import GossipMembership
 
 
 def test_micro_gossip_rounds(benchmark):
@@ -65,16 +20,3 @@ def test_micro_gossip_rounds(benchmark):
 
     rounds = benchmark(run_rounds)
     assert rounds == 10
-
-
-def test_micro_client_put_get(benchmark):
-    cluster = Cluster(ClusterConfig(num_nodes=16, num_racks=4, seed=1))
-    client = KeyValueClient(cluster, replica_count=3)
-
-    def roundtrip_batch():
-        for i in range(200):
-            client.put(f"key{i}", i)
-        return sum(client.get(f"key{i}") for i in range(200))
-
-    total = benchmark(roundtrip_batch)
-    assert total == sum(range(200))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro import Cluster, ClusterConfig, Document, Filter, SystemConfig
 from repro.baselines import InvertedListSystem
-from repro.core import DeliveryService, MoveSystem
+from repro.core import MoveSystem
 from repro.workloads import (
     dump_documents,
     dump_filters,
@@ -57,13 +57,11 @@ def build_workload():
     return filters, documents
 
 
-def run_system(label, system, documents, registered):
-    service = DeliveryService(system)
+def run_system(label, system, documents):
     print(f"\n== {label} ==")
     for document in documents:
-        notes = service.deliver(system.publish(document))
-        receivers = [note.owner for note in notes] or ["(nobody)"]
-        print(f"  {document.doc_id:8s} -> {', '.join(receivers)}")
+        matched = sorted(system.publish(document).matched_filter_ids)
+        print(f"  {document.doc_id:8s} -> {', '.join(matched) or '(nobody)'}")
 
 
 def main() -> None:
@@ -90,10 +88,7 @@ def main() -> None:
     # article where "battery" is incidental.
     boolean_system = InvertedListSystem(Cluster(config.cluster), config)
     boolean_system.subscribe(replayed_filters)
-    run_system(
-        "boolean any-term", boolean_system, replayed_docs,
-        replayed_filters,
-    )
+    run_system("boolean any-term", boolean_system, replayed_docs)
 
     # Threshold semantics: the incidental mention is filtered out.
     threshold_system = MoveSystem(
@@ -102,10 +97,7 @@ def main() -> None:
     threshold_system.subscribe(replayed_filters)
     threshold_system.seed_frequencies(replayed_docs[:1])
     threshold_system.finalize_registration()
-    run_system(
-        "VSM threshold 0.35", threshold_system, replayed_docs,
-        replayed_filters,
-    )
+    run_system("VSM threshold 0.35", threshold_system, replayed_docs)
     print(
         "\nthe threshold drops the incidental 'battery' mention in the"
         "\ncooking story while keeping the focused EV article."

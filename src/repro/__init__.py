@@ -32,7 +32,7 @@ from .baselines import (
     NodeTask,
     RendezvousSystem,
 )
-from .cluster import Cluster, KeyValueClient
+from .cluster import Cluster
 from .config import (
     AllocationConfig,
     ClusterConfig,
@@ -81,7 +81,6 @@ __all__ = [
     "brute_force_match",
     # substrate
     "Cluster",
-    "KeyValueClient",
     "Tokenizer",
     "tokenize",
     # systems

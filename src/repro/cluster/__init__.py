@@ -1,8 +1,9 @@
-"""A from-scratch Cassandra/Dynamo-model key/value cluster substrate.
+"""A from-scratch Cassandra/Dynamo-model cluster substrate.
 
 The paper deploys MOVE on Apache Cassandra 0.87 (an open-source Dynamo
-implementation with a BigTable data model).  This package rebuilds the
-pieces the paper relies on:
+implementation with a BigTable data model), but its algorithms use
+only the key/value contract: home-node mapping, O(1) routing, and
+successor or rack placement.  This package rebuilds those pieces:
 
 - :mod:`repro.cluster.partitioner` — MD5 random partitioner (tokens),
 - :mod:`repro.cluster.ring` — consistent-hash ring with virtual nodes,
@@ -10,51 +11,32 @@ pieces the paper relies on:
 - :mod:`repro.cluster.topology` — rack/datacenter layout,
 - :mod:`repro.cluster.membership` — gossip dissemination of membership
   state with heartbeat-based failure detection,
-- :mod:`repro.cluster.replication` — SimpleStrategy (ring successors)
-  and rack-aware replica placement,
-- :mod:`repro.cluster.storage` — memtable/SSTable column-family store
-  plus the segmented CRC-framed write-ahead log
-  (:class:`~repro.cluster.storage.WalWriter` /
+- :mod:`repro.cluster.storage` — the segmented CRC-framed write-ahead
+  log (:class:`~repro.cluster.storage.WalWriter` /
   :class:`~repro.cluster.storage.WalReader`) backing crash recovery
   in :mod:`repro.serve`,
-- :mod:`repro.cluster.node` — a cluster node binding storage + queues,
+- :mod:`repro.cluster.node` — a cluster node and its disk-bound
+  service queue,
 - :mod:`repro.cluster.cluster` — cluster orchestration and failure
-  injection,
-- :mod:`repro.cluster.client` — the put/get client of Section II.
+  injection.
 """
 
-from .antientropy import HashTree, replica_divergence, synchronize
-from .client import KeyValueClient
 from .cluster import Cluster
 from .membership import GossipMembership, NodeState
 from .node import ClusterNode
 from .partitioner import RandomPartitioner
-from .replication import (
-    RackAwareStrategy,
-    ReplicationStrategy,
-    SimpleStrategy,
-)
 from .ring import ConsistentHashRing
-from .storage import ColumnFamilyStore, StorageEngine, WalReader, WalWriter
+from .storage import WalReader, WalWriter
 from .topology import Topology
 
 __all__ = [
-    "HashTree",
-    "synchronize",
-    "replica_divergence",
     "RandomPartitioner",
     "ConsistentHashRing",
     "Topology",
     "GossipMembership",
     "NodeState",
-    "ReplicationStrategy",
-    "SimpleStrategy",
-    "RackAwareStrategy",
-    "StorageEngine",
-    "ColumnFamilyStore",
     "WalWriter",
     "WalReader",
     "ClusterNode",
     "Cluster",
-    "KeyValueClient",
 ]

@@ -2,7 +2,7 @@
 
 This object is the "Apache Cassandra deployment" of the reproduction:
 it wires the partitioner, consistent-hash ring, rack topology, gossip
-membership and per-node storage/queues together, and exposes failure
+membership and per-node service queues together, and exposes failure
 injection for the Figure 9(c–d) experiments.
 """
 
@@ -18,7 +18,6 @@ from ..sim.network import LinkSpec, NetworkModel
 from .membership import GossipMembership
 from .node import ClusterNode
 from .partitioner import RandomPartitioner
-from .replication import RackAwareStrategy, SimpleStrategy
 from .ring import ConsistentHashRing
 from .topology import Topology
 
@@ -69,8 +68,6 @@ class Cluster:
         self.network = NetworkModel(
             self.sim, spec=link_spec, rack_of=self.topology.rack_of
         )
-        self.simple_strategy = SimpleStrategy(self.ring)
-        self.rack_strategy = RackAwareStrategy(self.ring, self.topology)
 
     # -- membership / lookup ------------------------------------------
 

@@ -1,11 +1,9 @@
-"""A cluster node: storage engine + disk-bound service queue.
+"""A cluster node: liveness + disk-bound service queue.
 
 This is the unit the paper's per-node analysis reasons about.  The
-node owns a key/value :class:`~repro.cluster.storage.StorageEngine`
-(the replicated KV client creates its column families there) plus a
-:class:`~repro.sim.server.FifoServer` modelling its disk-bound match
-service.  The MOVE filter store and local inverted lists of Figure 3
-live in the dissemination system's columnar slab and
+node owns a :class:`~repro.sim.server.FifoServer` modelling its
+disk-bound match service.  The MOVE filter store and local inverted
+lists of Figure 3 live in the dissemination system's columnar slab and
 :class:`~repro.matching.inverted_index.InvertedIndex` instances.
 """
 
@@ -17,7 +15,6 @@ from ..errors import NodeDownError
 from ..obs.metrics import MetricsRegistry
 from ..sim.engine import Simulator
 from ..sim.server import FifoServer
-from .storage import StorageEngine
 
 
 class ClusterNode:
@@ -38,7 +35,6 @@ class ClusterNode:
         self.rack = rack
         self.sim = sim or Simulator()
         self.registry = registry
-        self.storage = StorageEngine(node_id)
         self.server = FifoServer(
             self.sim, name=f"{node_id}/disk", registry=registry
         )

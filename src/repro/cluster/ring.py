@@ -6,8 +6,8 @@ Provides the two primitives the paper uses from the key/value layer:
   key's token, wrapping around (O(1)-hop DHT routing: every node knows
   the full ring via gossip, as in Dynamo);
 - *ring successors* of a node — the distinct nodes following it on the
-  ring, used both for SimpleStrategy replication and for MOVE's
-  successor-based placement of allocated filters (Section V).
+  ring, used for MOVE's successor-based placement of allocated filters
+  (Section V).
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class ConsistentHashRing:
         """Up to ``count`` distinct nodes following ``node_id``'s first
         token on the ring, in ring order.
 
-        This is the walk Cassandra's SimpleStrategy performs and the
-        paper's "ring-based successors" placement option.
+        This is the walk Cassandra's simple replication strategy performs
+        and the paper's "ring-based successors" placement option.
         """
         if node_id not in self._members:
             raise UnknownNodeError(node_id)
@@ -151,30 +151,6 @@ class ConsistentHashRing:
         for offset in range(len(self._tokens)):
             token = self._tokens[(start + offset) % len(self._tokens)]
             owner = self._token_owner[token]
-            if owner in seen:
-                continue
-            seen.add(owner)
-            found.append(owner)
-            if len(found) >= count:
-                break
-        return found
-
-    def preference_list(self, key: str, count: int) -> List[str]:
-        """The ``count`` distinct nodes walking the ring from ``key``.
-
-        Dynamo's preference list: home node first, then successors.
-        """
-        if not self._tokens:
-            raise RingEmptyError("ring has no members")
-        if count <= 0:
-            return []
-        token = self.partitioner.token(key)
-        start = bisect.bisect_left(self._tokens, token)
-        found: List[str] = []
-        seen: Set[str] = set()
-        for offset in range(len(self._tokens)):
-            ring_token = self._tokens[(start + offset) % len(self._tokens)]
-            owner = self._token_owner[ring_token]
             if owner in seen:
                 continue
             seen.add(owner)

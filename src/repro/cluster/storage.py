@@ -1,19 +1,10 @@
-"""BigTable-style column-family storage engine.
+"""The segmented, CRC-framed write-ahead log behind crash recovery.
 
-Each node runs a :class:`StorageEngine` holding named
-:class:`ColumnFamilyStore` instances (the paper's three data stores:
-filter store, local inverted list, meta-data store live in column
-families).  Writes land in a memtable; when the memtable exceeds its
-flush threshold it is frozen into an immutable SSTable.  Reads merge
-the memtable with SSTables newest-first, so the freshest write wins —
-the standard LSM read path, reproduced in miniature.
-
-The module also provides the durability half of the real service mode
-(:mod:`repro.serve`): a segmented, CRC-framed write-ahead log
-(:class:`WalWriter` / :class:`WalReader`).  Mutations are framed and
-appended *before* they are applied in memory, so a crashed node can be
-rehydrated bit-identically by replaying its log (see
-``repro.serve.journal``).
+:class:`WalWriter` appends framed records to numbered segment files
+and :class:`WalReader` replays them in lsn order.  The service mode
+(:mod:`repro.serve`) frames and appends every mutation *before* it is
+applied in memory, so a crashed node can be rehydrated bit-identically
+by replaying its log (see ``repro.serve.journal``).
 """
 
 from __future__ import annotations
@@ -21,239 +12,10 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
-from ..errors import (
-    StorageError,
-    UnknownColumnFamilyError,
-    WalCorruptionError,
-    WalError,
-)
-
-#: Sentinel distinguishing "key absent" from "stored None".
-_MISSING = object()
-
-
-class _SSTable:
-    """An immutable sorted run of key→(column→value) rows.
-
-    Each run carries a Bloom filter over its row keys (as real LSM
-    engines do) so the read path can skip runs that certainly do not
-    contain a key — the point-lookup cost is what the paper's disk
-    model charges, and the filter is what keeps it near one run per
-    read.
-    """
-
-    __slots__ = ("rows", "generation", "_bloom")
-
-    def __init__(
-        self, rows: Dict[str, Dict[str, Any]], generation: int
-    ) -> None:
-        from ..matching.bloom import BloomFilter
-
-        self.rows = rows
-        self.generation = generation
-        self._bloom = BloomFilter(
-            expected_items=max(len(rows), 1), fp_rate=0.01
-        )
-        self._bloom.update(rows)
-
-    def maybe_contains(self, row_key: str) -> bool:
-        """Bloom check: False means definitely absent (no disk touch)."""
-        return row_key in self._bloom
-
-    def get(self, row_key: str) -> Optional[Dict[str, Any]]:
-        if not self.maybe_contains(row_key):
-            return None
-        return self.rows.get(row_key)
-
-
-class ColumnFamilyStore:
-    """One column family: rows of named columns with LSM semantics.
-
-    Deletions write tombstones so an SSTable-resident value cannot
-    resurrect a deleted row — the same reason real LSM trees need them.
-    """
-
-    _TOMBSTONE = object()
-
-    def __init__(
-        self, name: str, memtable_flush_threshold: int = 10_000
-    ) -> None:
-        if memtable_flush_threshold < 1:
-            raise StorageError("memtable_flush_threshold must be >= 1")
-        self.name = name
-        self.memtable_flush_threshold = memtable_flush_threshold
-        self._memtable: Dict[str, Dict[str, Any]] = {}
-        self._sstables: List[_SSTable] = []
-        self._generation = 0
-        self.writes = 0
-        self.reads = 0
-        self.flushes = 0
-
-    # -- write path -------------------------------------------------------
-
-    def put(self, row_key: str, column: str, value: Any) -> None:
-        """Insert/overwrite one column of one row."""
-        self.writes += 1
-        self._memtable.setdefault(row_key, {})[column] = value
-        if len(self._memtable) >= self.memtable_flush_threshold:
-            self.flush()
-
-    def put_row(self, row_key: str, columns: Dict[str, Any]) -> None:
-        """Insert/overwrite several columns of one row atomically."""
-        self.writes += 1
-        self._memtable.setdefault(row_key, {}).update(columns)
-        if len(self._memtable) >= self.memtable_flush_threshold:
-            self.flush()
-
-    def delete(self, row_key: str, column: Optional[str] = None) -> None:
-        """Delete one column, or the whole row when ``column`` is None."""
-        self.writes += 1
-        if column is None:
-            row = self._row_snapshot(row_key)
-            tombstones = {name: self._TOMBSTONE for name in row}
-            tombstones["__row__"] = self._TOMBSTONE
-            self._memtable[row_key] = tombstones
-        else:
-            self._memtable.setdefault(row_key, {})[column] = self._TOMBSTONE
-
-    def flush(self) -> None:
-        """Freeze the memtable into a new SSTable."""
-        if not self._memtable:
-            return
-        self._generation += 1
-        self.flushes += 1
-        self._sstables.append(
-            _SSTable(rows=self._memtable, generation=self._generation)
-        )
-        self._memtable = {}
-
-    def compact(self) -> None:
-        """Merge all SSTables into one, dropping shadowed tombstones."""
-        merged: Dict[str, Dict[str, Any]] = {}
-        for sstable in self._sstables:  # oldest → newest
-            for row_key, columns in sstable.rows.items():
-                if "__row__" in columns:
-                    merged[row_key] = {
-                        k: v
-                        for k, v in columns.items()
-                        if k != "__row__" and v is not self._TOMBSTONE
-                    }
-                    continue
-                target = merged.setdefault(row_key, {})
-                for column, value in columns.items():
-                    if value is self._TOMBSTONE:
-                        target.pop(column, None)
-                    else:
-                        target[column] = value
-        merged = {row: cols for row, cols in merged.items() if cols}
-        self._generation += 1
-        self._sstables = (
-            [_SSTable(rows=merged, generation=self._generation)]
-            if merged
-            else []
-        )
-
-    # -- read path ------------------------------------------------------
-
-    def _row_snapshot(self, row_key: str) -> Dict[str, Any]:
-        """Merged view of a row across memtable and SSTables."""
-        merged: Dict[str, Any] = {}
-        for sstable in self._sstables:  # oldest → newest
-            columns = sstable.get(row_key)
-            if columns is None:
-                continue
-            if "__row__" in columns:
-                merged = {}
-            for column, value in columns.items():
-                if column == "__row__":
-                    continue
-                merged[column] = value
-        mem = self._memtable.get(row_key)
-        if mem is not None:
-            if "__row__" in mem:
-                merged = {}
-            for column, value in mem.items():
-                if column == "__row__":
-                    continue
-                merged[column] = value
-        return {
-            column: value
-            for column, value in merged.items()
-            if value is not self._TOMBSTONE
-        }
-
-    def get(
-        self, row_key: str, column: str, default: Any = None
-    ) -> Any:
-        """Read one column of one row."""
-        self.reads += 1
-        value = self._row_snapshot(row_key).get(column, _MISSING)
-        return default if value is _MISSING else value
-
-    def get_row(self, row_key: str) -> Dict[str, Any]:
-        """Read the full merged row (empty dict when absent)."""
-        self.reads += 1
-        return self._row_snapshot(row_key)
-
-    def contains_row(self, row_key: str) -> bool:
-        return bool(self._row_snapshot(row_key))
-
-    def row_keys(self) -> Iterator[str]:
-        """All live row keys (deduplicated across runs)."""
-        seen = set()
-        for sstable in self._sstables:
-            seen.update(sstable.rows)
-        seen.update(self._memtable)
-        for row_key in seen:
-            if self._row_snapshot(row_key):
-                yield row_key
-
-    def approximate_row_count(self) -> int:
-        """Row count without tombstone resolution (cheap estimate)."""
-        seen = set()
-        for sstable in self._sstables:
-            seen.update(sstable.rows)
-        seen.update(self._memtable)
-        return len(seen)
-
-    @property
-    def sstable_count(self) -> int:
-        return len(self._sstables)
-
-
-class StorageEngine:
-    """All column families of one node."""
-
-    def __init__(self, node_id: str) -> None:
-        self.node_id = node_id
-        self._families: Dict[str, ColumnFamilyStore] = {}
-
-    def create_column_family(
-        self, name: str, memtable_flush_threshold: int = 10_000
-    ) -> ColumnFamilyStore:
-        """Create (or return the existing) column family ``name``."""
-        store = self._families.get(name)
-        if store is None:
-            store = ColumnFamilyStore(name, memtable_flush_threshold)
-            self._families[name] = store
-        return store
-
-    def column_family(self, name: str) -> ColumnFamilyStore:
-        store = self._families.get(name)
-        if store is None:
-            raise UnknownColumnFamilyError(name)
-        return store
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._families
-
-    def families(self) -> List[str]:
-        return sorted(self._families)
-
+from ..errors import WalCorruptionError, WalError
 
 # -- write-ahead log ------------------------------------------------------
 

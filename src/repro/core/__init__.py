@@ -18,9 +18,7 @@
 
 from .allocation import AllocationGrid, build_grid, required_ratio
 from .coordinator import Coordinator
-from .delivery import DeliveryService, Inbox, Notification
 from .forwarding import ForwardingTable
-from .leases import Lease, SubscriptionManager
 from .move_system import MoveSystem
 from .pipeline import (
     BatchCaches,
@@ -56,11 +54,6 @@ __all__ = [
     "ReallocationReport",
     "ReplicaMove",
     "diff_plans",
-    "DeliveryService",
-    "Inbox",
-    "Notification",
-    "Lease",
-    "SubscriptionManager",
     "MoveOptimizer",
     "NodeDemand",
     "AllocationFactors",

@@ -43,7 +43,7 @@ class RingEmptyError(ClusterError):
 
 
 class StorageError(ReproError):
-    """Base class for column-family storage errors."""
+    """Base class for durable-state errors: the WAL and snapshots."""
 
 
 class WalError(StorageError):
@@ -59,14 +59,6 @@ class WalCorruptionError(WalError):
     files were tampered with or lost data, which replay must not paper
     over.
     """
-
-
-class UnknownColumnFamilyError(StorageError):
-    """A read or write referenced a column family that was never created."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        super().__init__(f"unknown column family {name!r}")
 
 
 class AllocationError(ReproError):

@@ -11,8 +11,6 @@ The paper's matching machinery in one place:
   document forwarding (Section V),
 - :mod:`repro.matching.sift` — the SIFT centralized matcher used by the
   rendezvous baseline (retrieves all ``|d|`` posting lists),
-- :mod:`repro.matching.home_node` — the home-node matcher of the
-  baseline/MOVE (retrieves only the home term's posting list),
 - :mod:`repro.matching.vsm` — tf–idf / cosine scoring for the
   similarity-threshold extension,
 - :mod:`repro.matching.kernel` — the one score-accumulation kernel
@@ -22,7 +20,6 @@ The paper's matching machinery in one place:
 """
 
 from .bloom import BloomFilter
-from .home_node import HomeNodeMatcher
 from .inverted_index import InvertedIndex
 from .kernel import DocumentScores, ScoreKernel
 from .postings import PostingList
@@ -34,7 +31,6 @@ __all__ = [
     "InvertedIndex",
     "BloomFilter",
     "SiftMatcher",
-    "HomeNodeMatcher",
     "VsmScorer",
     "ScoreKernel",
     "DocumentScores",

@@ -7,9 +7,7 @@ entry scanned, so the list also reports its length cheaply.
 Entries are kept sorted in a compact ``array('q')`` (8 bytes per id,
 no per-entry object overhead) and searched with the C-coded
 :mod:`bisect` routines; :meth:`add_many` bulk-loads by sorting once
-instead of N incremental inserts.  :meth:`encode` / :meth:`decode`
-provide a compact delta + varint byte representation (what an SSTable
-would hold) used by the storage round-trip tests.
+instead of N incremental inserts.
 """
 
 from __future__ import annotations
@@ -17,36 +15,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional, Tuple
-
-
-def _encode_varint(value: int, out: bytearray) -> None:
-    """Append LEB128 varint encoding of ``value`` to ``out``."""
-    if value < 0:
-        raise ValueError(f"varints are unsigned, got {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _decode_varints(data: bytes) -> Iterator[int]:
-    """Yield all varints in ``data``."""
-    value = 0
-    shift = 0
-    for byte in data:
-        value |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-        else:
-            yield value
-            value = 0
-            shift = 0
-    if shift:
-        raise ValueError("truncated varint stream")
 
 
 class PostingList:
@@ -144,36 +112,3 @@ class PostingList:
                 i += 1
                 j += 1
         return result
-
-    # -- serialization ----------------------------------------------------
-
-    def encode(self) -> bytes:
-        """Delta + varint encoding (count, then gaps)."""
-        out = bytearray()
-        _encode_varint(len(self._ids), out)
-        previous = 0
-        for filter_id in self._ids:
-            _encode_varint(filter_id - previous, out)
-            previous = filter_id
-        return bytes(out)
-
-    @classmethod
-    def decode(cls, term: str, data: bytes) -> "PostingList":
-        """Inverse of :meth:`encode`."""
-        values = list(_decode_varints(data))
-        if not values:
-            raise ValueError("empty posting encoding")
-        count, gaps = values[0], values[1:]
-        if len(gaps) != count:
-            raise ValueError(
-                f"posting encoding declares {count} entries, "
-                f"found {len(gaps)}"
-            )
-        ids = array("q")
-        current = 0
-        for gap in gaps:
-            current += gap
-            ids.append(current)
-        posting = cls(term)
-        posting._ids = ids
-        return posting

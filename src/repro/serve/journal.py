@@ -270,11 +270,14 @@ class JournaledSystem:
             return False
         first = self._decode(lsn, payload)
         if first["op"] != "setup":
+            skipped = "".join(
+                f"; skipped {reason}" for reason in self.snapshot_skip_reasons
+            )
             raise WalError(
                 f"{self.directory}: first journal record is "
                 f"{first['op']!r}, expected 'setup' — with no "
                 "usable snapshot, a truncated journal cannot be "
-                "replayed from scratch"
+                f"replayed from scratch{skipped}"
             )
         self.setup = {k: v for k, v in first.items() if k != "op"}
         self.system = self._build(self.setup)

@@ -29,7 +29,8 @@ half-valid ``.snap``.
 Format history: 1 — filters as per-object ``InvertedIndex`` dicts;
 2 — filters in the columnar slab, postings of slab slots; 3 — the
 scoring kernel keeps no per-filter slots, norms or profiles, and
-indexes carry no mutation listeners.
+indexes carry no mutation listeners; 4 — cluster nodes carry no
+key/value storage engine and the cluster no replication strategies.
 
 Any validation failure loads as :class:`~repro.errors.SnapshotError`;
 callers treat that snapshot as nonexistent and fall back to the next
@@ -47,7 +48,7 @@ from typing import List, Tuple, Union
 from ..errors import SnapshotError
 
 #: Snapshot format this build writes and reads (see the module doc).
-FORMAT = 3
+FORMAT = 4
 _MAGIC_PREFIX = b"MVSNAP"
 _MAGIC = _MAGIC_PREFIX + str(FORMAT).encode() + b"\n"
 _HEADER = struct.Struct("<QII")

@@ -356,7 +356,7 @@ def encode_subscribe_item(enc: WireEncoder, item: Any) -> None:
 
     Bare query text stays bare text: replay re-runs ``subscribe`` on
     the decoded items, and resolving auto-assigned ids at encode time
-    would desynchronize the id sequence between live and recovered
+    would put the id sequence out of step between live and recovered
     twins.
     """
     if isinstance(item, Subscription):

@@ -312,14 +312,14 @@ def test_corrupt_newest_snapshot_falls_back_to_older_plus_tail(
 # ---------------------------------------------------------------------------
 
 #: Formats an older build wrote; this one must refuse each by name.
-OLD_FORMATS = [1, 2]
+OLD_FORMATS = [1, 2, 3]
 
 
 def _refusal(found):
     """What ``load_snapshot`` says about a file of an older format."""
     return (
         f"snapshot format {found} was written by an older build; "
-        "this build reads format 3"
+        "this build reads format 4"
     )
 
 
@@ -380,8 +380,11 @@ def test_format_snapshot_over_truncated_wal_refuses_to_boot(tmp_path, found):
     journal.close()
     (snapshot,) = list_snapshots(tmp_path)
     _as_format(snapshot, found)
-    with pytest.raises(WalError, match="truncated journal"):
+    with pytest.raises(WalError, match="truncated journal") as refused:
         JournaledSystem(tmp_path)
+    assert str(refused.value).endswith(
+        f"; skipped {snapshot.name}: {_refusal(found)}"
+    )
 
 
 def test_truncated_journal_without_snapshot_fails_loud(tmp_path):

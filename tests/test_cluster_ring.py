@@ -100,16 +100,6 @@ class TestConsistentHashRing:
         with pytest.raises(UnknownNodeError):
             self._ring(2).successors("ghost", 1)
 
-    def test_preference_list_starts_at_home(self):
-        ring = self._ring()
-        key = "some-key"
-        preference = ring.preference_list(key, 3)
-        assert preference[0] == ring.home_node(key)
-        assert len(set(preference)) == 3
-
-    def test_preference_list_zero(self):
-        assert self._ring().preference_list("k", 0) == []
-
     def test_ownership_fractions_sum_to_one(self):
         ring = self._ring(5)
         fractions = ring.ownership_fractions()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DeliveryService, MoveSystem
+from repro.core import MoveSystem
 from repro.experiments.harness import (
     ClusterThroughputHarness,
     ScaledWorkload,
@@ -132,21 +132,6 @@ class TestGossipFailureIntegration:
             assert plan.matched_filter_ids <= expected
 
 
-class TestDeliveryIntegration:
-    def test_end_to_end_notifications(self, bundle):
-        system, _cluster = _build("Move", bundle)
-        service = DeliveryService(system)
-        for document in bundle.documents[:20]:
-            service.deliver(system.publish(document))
-        assert service.documents_delivered == 20
-        # Dedup invariant: no owner receives one document twice.
-        for owner in service.owners():
-            doc_ids = [
-                note.doc_id for note in service.inbox(owner).peek()
-            ]
-            assert len(doc_ids) == len(set(doc_ids))
-
-
 class TestStorageIntegration:
     def test_filters_stored_on_home_of_each_term(self, bundle):
         system, cluster = _build("Move", bundle)
@@ -161,14 +146,3 @@ class TestStorageIntegration:
             for index in system._home_indexes.values()
         )
         assert stored == sum(len(p.terms) for p in bundle.filters)
-
-    def test_flush_and_compact_preserve_reads(self, bundle):
-        system, cluster = _build("IL", bundle)
-        sample = bundle.filters[0]
-        home = system.home_of(next(iter(sample.terms)))
-        assert sample.filter_id in system.index_of(home)
-        store = cluster.node(home).storage.create_column_family("filters")
-        store.put(sample.filter_id, "terms", sample.sorted_terms())
-        store.flush()
-        store.compact()
-        assert store.get(sample.filter_id, "terms") == sample.sorted_terms()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.matching import BloomFilter, HomeNodeMatcher, InvertedIndex, SiftMatcher
+from repro.matching import BloomFilter, InvertedIndex, SiftMatcher
 from repro.matching.vsm import CorpusStatistics, VsmScorer
 from repro.model import Document, Filter
 
@@ -95,30 +95,6 @@ class TestSiftMatcher:
     def test_threshold_requires_both_args(self):
         with pytest.raises(ValueError):
             SiftMatcher(self._index(), scorer=VsmScorer())
-
-
-class TestHomeNodeMatcher:
-    def test_single_list_retrieval(self):
-        index = InvertedIndex()
-        index.add_filter(
-            Filter.from_terms("f1", ["cloud", "sun"]),
-            indexed_terms=["cloud"],
-        )
-        matcher = HomeNodeMatcher(index)
-        doc = Document.from_terms("d", ["cloud", "sun"])
-        filters, cost = matcher.match(doc, "cloud")
-        assert [f.filter_id for f in filters] == ["f1"]
-        assert cost.posting_lists == 1
-
-    def test_threshold_mode(self):
-        index = InvertedIndex()
-        index.add_filter(Filter.from_terms("f1", ["cloud"]))
-        matcher = HomeNodeMatcher(
-            index, scorer=VsmScorer(), threshold=0.99
-        )
-        doc = Document.from_terms("d", ["cloud"])
-        filters, _ = matcher.match(doc, "cloud")
-        assert [f.filter_id for f in filters] == ["f1"]
 
 
 class TestVsmScorer:

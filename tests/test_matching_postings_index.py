@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import MatchingError
 from repro.matching import InvertedIndex, PostingList
@@ -41,31 +40,6 @@ class TestPostingList:
         a = PostingList("t", [1, 3, 5])
         b = PostingList("t", [3, 5, 7])
         assert a.intersect(b) == [3, 5]
-
-    def test_encode_decode_roundtrip(self):
-        plist = PostingList("t", [10, 100, 1_000_000])
-        decoded = PostingList.decode("t", plist.encode())
-        assert decoded.ids() == plist.ids()
-
-    def test_decode_rejects_truncated(self):
-        plist = PostingList("t", [1, 2, 3])
-        data = plist.encode()[:-1]
-        with pytest.raises(ValueError):
-            PostingList.decode("t", data)
-
-    def test_decode_rejects_empty(self):
-        with pytest.raises(ValueError):
-            PostingList.decode("t", b"")
-
-    @given(st.sets(st.integers(min_value=0, max_value=10**9), max_size=60))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip_property(self, ids):
-        plist = PostingList("t", ids)
-        if not ids:
-            assert plist.encode() == b"\x00"
-            return
-        decoded = PostingList.decode("t", plist.encode())
-        assert decoded.ids() == tuple(sorted(ids))
 
 
 class TestInvertedIndex:

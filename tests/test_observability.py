@@ -36,7 +36,7 @@ from repro import (
     get_default_tracer,
     set_default_tracer,
 )
-from repro.cluster import Cluster, KeyValueClient
+from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core import MoveSystem
 from repro.experiments.harness import (
@@ -449,18 +449,6 @@ class TestSubstrateMetrics:
         cluster.recover_node(victim)
         assert cluster.metrics.counter("node_crashes").value == 1.0
         assert cluster.metrics.counter("node_recoveries").value == 1.0
-
-    def test_kv_client_counters(self):
-        cluster = Cluster(ClusterConfig(num_nodes=4))
-        client = KeyValueClient(cluster)
-        client.put("k1", "v1")
-        client.get("k1")
-        client.get("missing")
-        client.delete("k1")
-        counters = client.metrics
-        assert counters.counter("kv_puts").value == 1.0
-        assert counters.counter("kv_gets").value == 2.0
-        assert counters.counter("kv_deletes").value == 1.0
 
 
 # ---------------------------------------------------------------------------
