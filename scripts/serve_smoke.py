@@ -20,7 +20,9 @@ it exercises the real deployment story across *process* boundaries.
 7. boot a third process and assert recovery replayed *only* the
    post-checkpoint tail (the ``repro_serve_recovery_replayed_records``
    gauge equals tail records + the checkpoint marker) while the
-   recovered state still answers probes correctly.
+   recovered state still answers probes correctly;
+8. shut that process down while a second connection sits idle, and
+   assert it exits 0 with no traceback on its stderr.
 
 Matched *sets* are the cross-process invariant; RNG-stream identity
 is only meaningful in-process (hash randomization perturbs set
@@ -93,7 +95,7 @@ def _expected_matches(terms):
     return sorted(matched)
 
 
-def _boot(wal_dir: str) -> "tuple[subprocess.Popen, int]":
+def _boot(wal_dir: str, stderr=None) -> "tuple[subprocess.Popen, int]":
     process = subprocess.Popen(
         [
             sys.executable,
@@ -116,6 +118,7 @@ def _boot(wal_dir: str) -> "tuple[subprocess.Popen, int]":
         cwd=REPO_ROOT,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         stdout=subprocess.PIPE,
+        stderr=stderr,
         text=True,
     )
     deadline = time.monotonic() + 60
@@ -219,7 +222,10 @@ def main() -> int:
         if process.poll() is None:
             process.kill()
 
-    process, port = _boot(wal_dir)
+    # The graceful leg keeps the server's stderr: a clean shutdown
+    # with a client connection still open must log no traceback.
+    server_log = tempfile.TemporaryFile(mode="w+")
+    process, port = _boot(wal_dir, stderr=server_log)
     try:
         with ServiceClient(port=port) as client:
             # Recovery must boot from the snapshot and replay only the
@@ -239,12 +245,20 @@ def main() -> int:
             assert plan["matched"] == _expected_matches(probe_terms), (
                 plan["matched"]
             )
-            client.shutdown()
-        process.wait(timeout=60)
+            # A second connection stays open, blocked in the server's
+            # frame read, for the whole shutdown.
+            with ServiceClient(port=port) as idle:
+                assert idle.ping()
+                client.shutdown()
+                process.wait(timeout=60)
         assert process.returncode == 0, process.returncode
+        server_log.seek(0)
+        errors = server_log.read()
+        assert "Traceback" not in errors, errors
     finally:
         if process.poll() is None:
             process.kill()
+        server_log.close()
     print(
         "serve smoke OK: recovered after SIGKILL with state intact; "
         f"checkpoint shrank the WAL and recovery replayed only "

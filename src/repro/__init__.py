@@ -17,7 +17,7 @@ Quickstart::
     move.seed_frequencies([Document.from_text("seed", "systems paper")])
     move.finalize_registration()
     plan = move.publish(Document.from_text("d1", "new distributed tricks"))
-    print(plan.matched_filter_ids)   # {'f1'}
+    print(plan.matched_ids)   # ('f1',)
 
 Package layout: see DESIGN.md for the full system inventory and the
 per-experiment index.

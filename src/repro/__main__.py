@@ -181,7 +181,7 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     plan = move.publish(
         Document.from_text("d1", "new distributed cloud tricks")
     )
-    print(f"matched filters: {sorted(plan.matched_filter_ids)}")
+    print(f"matched filters: {list(plan.matched_ids)}")
     print(f"nodes involved:  {plan.fanout}")
     return 0
 

@@ -27,6 +27,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -76,18 +77,65 @@ class NodeTask:
             raise ValueError("task costs must be non-negative")
 
 
-@dataclass
+@dataclass(eq=False)
 class DisseminationPlan:
-    """Outcome of publishing one document."""
+    """Outcome of publishing one document.
+
+    The pipeline resolves the matched slab slots to filter ids before
+    ``publish_batch`` returns, into :attr:`delivered_ids` (each id
+    once, in resolution order).  Readers take them sorted from
+    :attr:`matched_ids` or as a set from :attr:`matched_filter_ids`;
+    both are built on first use, so the final sort runs where the
+    delivery list is read — in the server, after the commit window's
+    fsync — not while the batch holds the worker.
+    """
 
     document: Document
-    matched_filter_ids: Set[str]
+    #: The matched filter ids, each once, in resolution order: sorted
+    #: by the slab's order key for large match sets (ties beyond the
+    #: key unordered), in no particular order for small ones.
+    delivered_ids: Tuple[str, ...]
     tasks: List[NodeTask] = field(default_factory=list)
     #: Filter ids that *should* have matched but were unreachable due
     #: to node failures (the Figure 9(d) availability loss).
-    unreachable_filter_ids: Set[str] = field(default_factory=set)
+    unreachable_filter_ids: FrozenSet[str] = frozenset()
     #: Control-plane routing messages (bloom-pruned forwarding).
     routing_messages: int = 0
+    _sorted: Optional[Tuple[str, ...]] = field(
+        default=None, init=False, repr=False
+    )
+    _set: Optional[FrozenSet[str]] = field(
+        default=None, init=False, repr=False
+    )
+
+    @property
+    def matched_ids(self) -> Tuple[str, ...]:
+        """The matched filter ids in ``sorted()`` order.
+
+        Timsort needs about ``n`` comparisons when the resolution
+        order is already key-sorted.
+        """
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.delivered_ids))
+        return self._sorted
+
+    @property
+    def matched_filter_ids(self) -> FrozenSet[str]:
+        """The matched filter ids as a set."""
+        if self._set is None:
+            self._set = frozenset(self.delivered_ids)
+        return self._set
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DisseminationPlan):
+            return NotImplemented
+        return (
+            self.document == other.document
+            and self.matched_filter_ids == other.matched_filter_ids
+            and self.tasks == other.tasks
+            and self.unreachable_filter_ids == other.unreachable_filter_ids
+            and self.routing_messages == other.routing_messages
+        )
 
     @property
     def fanout(self) -> int:
@@ -484,32 +532,43 @@ class DisseminationSystem(ABC):
         return self.filter_slab.predicate_by_id(filter_id)
 
     def _apply_predicate_gate(
-        self, document: Document, matched: Set[str]
-    ) -> Tuple[int, int]:
+        self, document: Document, delivered_ids: Tuple[str, ...]
+    ) -> Tuple[Tuple[str, ...], int, int]:
         """Drop matched ids whose predicate rejects ``document``.
 
-        The delivery-boundary evaluation of the tentpole: anchors got
-        the document here (routing is predicate-blind), the full
-        boolean tree decides delivery.  Mutates ``matched`` in place,
-        consumes no RNG, and returns ``(evaluated, rejected)`` counts
-        for the per-batch metrics.  Ids rejected here are *not* moved
-        to the unreachable set — same convention as the threshold
-        semantics, where a candidate failing the score test is simply
-        not a match.
+        The delivery-boundary evaluation: anchors got the document
+        here (routing is predicate-blind), the full boolean tree
+        decides delivery.  Takes the document's resolved ids, consumes
+        no RNG, and returns ``(kept ids in the same order, evaluated,
+        rejected)`` — the counts feed the per-batch metrics.  Ids
+        rejected here are *not* moved to the unreachable set — same
+        convention as the threshold semantics, where a candidate
+        failing the score test is simply not a match.
         """
         doc_terms = document.terms
         evaluated = 0
-        rejected: List[str] = []
-        for filter_id in matched:
+        kept: List[str] = []
+        for filter_id in delivered_ids:
             predicate = self._predicate_of(filter_id)
-            if predicate is None:
-                continue
-            evaluated += 1
-            if not predicate.matches(doc_terms):
-                rejected.append(filter_id)
+            if predicate is not None:
+                evaluated += 1
+                if not predicate.matches(doc_terms):
+                    continue
+            kept.append(filter_id)
+        rejected = len(delivered_ids) - len(kept)
         if rejected:
-            matched.difference_update(rejected)
-        return evaluated, len(rejected)
+            delivered_ids = tuple(kept)
+        return delivered_ids, evaluated, rejected
+
+    def _selected_slots(
+        self, document: Document, candidates: Iterable[Filter]
+    ) -> List[int]:
+        """Slab slots of the candidates the active semantics deliver."""
+        slot_of = self.filter_slab.slot_of
+        return [
+            slot_of(profile.filter_id)
+            for profile in self._apply_semantics(document, candidates)
+        ]
 
     @property
     def total_filters(self) -> int:
@@ -567,7 +626,8 @@ class DisseminationSystem(ABC):
     def _execute(self, ctx: "ExecutionContext", routes: object) -> None:
         """Stage 3: per-node matching and work accumulation.
 
-        Fills ``ctx.matched``, ``ctx.unreachable``, ``ctx.work``, and
+        Appends slot sequences to ``ctx.matched`` and
+        ``ctx.unreachable`` and fills ``ctx.work`` and
         ``ctx.routing_messages``.  Any per-document RNG (partition
         draws, failure fallbacks) is consumed here, after the ingest
         draw, in the same order as the seed implementations.

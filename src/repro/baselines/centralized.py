@@ -221,7 +221,7 @@ class CentralizedSystem(DisseminationSystem):
         document = ctx.document
         if not self.cluster.node(central).alive:
             for term, term_id in zip(document.terms, document.term_ids):
-                ctx.unreachable.update(
+                ctx.unreachable.append(
                     self._retrieve_cached(caches, term_id, term)[1]
                 )
             return
@@ -230,12 +230,12 @@ class CentralizedSystem(DisseminationSystem):
         entries = 0
         if self._scorer is None:
             for term, term_id in zip(document.terms, document.term_ids):
-                _, filter_ids, n_lists, n_entries = (
+                _, slots, n_lists, n_entries = (
                     self._retrieve_cached(caches, term_id, term)
                 )
                 lists += n_lists
                 entries += n_entries
-                matched.update(filter_ids)
+                matched.append(slots)
         elif self._kernel_accumulates():
             # Score-accumulation SIFT: the central index holds every
             # filter under all its terms, so one pass over the |d|
@@ -244,8 +244,7 @@ class CentralizedSystem(DisseminationSystem):
             slots, lists, entries = self._kernel.match_slots(
                 document, self.index, caches
             )
-            filter_id = self.filter_slab.filter_id
-            matched.update(filter_id(slot) for slot in slots)
+            matched.append(slots)
         else:
             # Dedup candidates across terms (as SIFT does) before
             # scoring each one once against the threshold.
@@ -258,11 +257,8 @@ class CentralizedSystem(DisseminationSystem):
                 entries += n_entries
                 for profile in filters:
                     candidates.setdefault(profile.filter_id, profile)
-            matched.update(
-                profile.filter_id
-                for profile in self._apply_semantics(
-                    document, candidates.values()
-                )
+            matched.append(
+                self._selected_slots(document, candidates.values())
             )
         ctx.work.add(central, lists, entries, (ctx.ingest, central))
 

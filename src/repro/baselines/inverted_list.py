@@ -130,27 +130,22 @@ class InvertedListSystem(DisseminationSystem):
         for node_id, term_ids in routes.items():
             if not self.cluster.node(node_id).alive:
                 for term_id in term_ids:
-                    ctx.unreachable.update(
+                    ctx.unreachable.append(
                         self._retrieve_cached(caches, node_id, term_id)[1]
                     )
                 continue
             lists = 0
             entries = 0
             for term_id in term_ids:
-                filters, filter_ids, n_lists, n_entries = (
+                filters, slots, n_lists, n_entries = (
                     self._retrieve_cached(caches, node_id, term_id)
                 )
                 lists += n_lists
                 entries += n_entries
                 if plain_boolean:
-                    matched.update(filter_ids)
+                    matched.append(slots)
                 else:
-                    matched.update(
-                        profile.filter_id
-                        for profile in self._apply_semantics(
-                            document, filters
-                        )
-                    )
+                    matched.append(self._selected_slots(document, filters))
             ctx.work.add(node_id, lists, entries, (ctx.ingest, node_id))
 
     def _retrieve_cached(

@@ -154,7 +154,7 @@ class RendezvousSystem(DisseminationSystem):
                 for term, term_id in zip(
                     document.terms, document.term_ids
                 ):
-                    ctx.unreachable.update(
+                    ctx.unreachable.append(
                         self._retrieve_cached(caches, sample, term_id, term)[1]
                     )
                 continue
@@ -165,14 +165,14 @@ class RendezvousSystem(DisseminationSystem):
                 for term, term_id in zip(
                     document.terms, document.term_ids
                 ):
-                    _, filter_ids, n_lists, n_entries = (
+                    _, slots, n_lists, n_entries = (
                         self._retrieve_cached(
                             caches, node_id, term_id, term
                         )
                     )
                     lists += n_lists
                     entries += n_entries
-                    matched.update(filter_ids)
+                    matched.append(slots)
             elif self._kernel_accumulates():
                 # Score-accumulation SIFT: every replica indexes its
                 # filters under all their terms, so one pass over the
@@ -181,8 +181,7 @@ class RendezvousSystem(DisseminationSystem):
                 slots, lists, entries = self._kernel.match_slots(
                     document, self._indexes[node_id], caches
                 )
-                filter_id = self.filter_slab.filter_id
-                matched.update(filter_id(slot) for slot in slots)
+                matched.append(slots)
             else:
                 # Dedup candidates across terms (as SIFT does) before
                 # scoring each one once against the threshold.
@@ -199,11 +198,8 @@ class RendezvousSystem(DisseminationSystem):
                     entries += n_entries
                     for profile in filters:
                         candidates.setdefault(profile.filter_id, profile)
-                matched.update(
-                    profile.filter_id
-                    for profile in self._apply_semantics(
-                        document, candidates.values()
-                    )
+                matched.append(
+                    self._selected_slots(document, candidates.values())
                 )
             ctx.work.add(node_id, lists, entries, (ctx.ingest, node_id))
 

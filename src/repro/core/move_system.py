@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 import time
 from collections import defaultdict
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..cluster.cluster import Cluster
@@ -702,29 +703,30 @@ class MoveSystem(DisseminationSystem):
             )
         return entry
 
-    def _home_subset_triples(
+    def _home_subset_slots(
         self,
         caches: BatchCaches,
         home_id: str,
         origin_key: str,
         grid,
         term_id: int,
-    ) -> List[Tuple[int, str, Filter]]:
-        """Home posting of one term annotated with each filter's grid
-        subset, memoized per epoch (saves one stable hash per filter
-        per document on the home-fallback and lost-subset paths)."""
+    ) -> Dict[int, List[int]]:
+        """Home posting of one term split by each filter's grid subset,
+        memoized per epoch (saves one stable hash per filter per
+        document on the home-fallback and lost-subset paths).  Each
+        subset's slots stay ascending, in posting order."""
         key = (origin_key, term_id)
-        triples = caches.home_subsets.get(key)
-        if triples is None:
-            filters, filter_ids, _, _ = self._home_retrieve(
-                caches, home_id, term_id
-            )
-            triples = [
-                (grid.subset_of(filter_id), filter_id, profile)
-                for filter_id, profile in zip(filter_ids, filters)
-            ]
-            caches.home_subsets[key] = triples
-        return triples
+        by_subset = caches.home_subsets.get(key)
+        if by_subset is None:
+            _, slots, _, _ = self._home_retrieve(caches, home_id, term_id)
+            filter_id = self.filter_slab.filter_id
+            by_subset = {}
+            for slot in slots:
+                by_subset.setdefault(
+                    grid.subset_of(filter_id(slot)), []
+                ).append(slot)
+            caches.home_subsets[key] = by_subset
+        return by_subset
 
     def _match_at_home(
         self, ctx: ExecutionContext, home_id: str, term_ids: List[int]
@@ -733,7 +735,7 @@ class MoveSystem(DisseminationSystem):
         caches = ctx.caches
         if not self.cluster.node(home_id).alive:
             for term_id in term_ids:
-                ctx.unreachable.update(
+                ctx.unreachable.append(
                     self._home_retrieve(caches, home_id, term_id)[1]
                 )
             return
@@ -743,20 +745,15 @@ class MoveSystem(DisseminationSystem):
         lists = 0
         entries = 0
         for term_id in term_ids:
-            filters, filter_ids, n_lists, n_entries = (
+            filters, slots, n_lists, n_entries = (
                 self._home_retrieve(caches, home_id, term_id)
             )
             lists += n_lists
             entries += n_entries
             if plain_boolean:
-                matched.update(filter_ids)
+                matched.append(slots)
             else:
-                matched.update(
-                    profile.filter_id
-                    for profile in self._apply_semantics(
-                        document, filters
-                    )
-                )
+                matched.append(self._selected_slots(document, filters))
         ctx.work.add(home_id, lists, entries, (ctx.ingest, home_id))
 
     def _match_allocated(
@@ -807,30 +804,28 @@ class MoveSystem(DisseminationSystem):
                     )
                     lists += n_lists
                     entries += n_entries
-                    triples = self._home_subset_triples(
+                    by_subset = self._home_subset_slots(
                         caches, home_id, origin_key, grid, term_id
                     )
+                    parts = [
+                        by_subset[subset]
+                        for subset in restrict_subsets
+                        if subset in by_subset
+                    ]
                     if plain_boolean:
-                        matched.update(
-                            filter_id
-                            for subset, filter_id, _ in triples
-                            if subset in restrict_subsets
-                        )
-                    else:
+                        matched.extend(parts)
+                    elif parts:
+                        # Posting order: the slots ascending.
+                        get = self.filter_slab.get
                         candidates = [
-                            profile
-                            for subset, _, profile in triples
-                            if subset in restrict_subsets
+                            get(slot) for slot in sorted(chain(*parts))
                         ]
-                        matched.update(
-                            profile.filter_id
-                            for profile in self._apply_semantics(
-                                document, candidates
-                            )
+                        matched.append(
+                            self._selected_slots(document, candidates)
                         )
             else:
                 for term_id in term_ids:
-                    filters, filter_ids, n_lists, n_entries = (
+                    filters, slots, n_lists, n_entries = (
                         self._allocated_retrieve(
                             caches, node_id, origin_key, term_id
                         )
@@ -838,13 +833,10 @@ class MoveSystem(DisseminationSystem):
                     lists += n_lists
                     entries += n_entries
                     if plain_boolean:
-                        matched.update(filter_ids)
+                        matched.append(slots)
                     else:
-                        matched.update(
-                            profile.filter_id
-                            for profile in self._apply_semantics(
-                                document, filters
-                            )
+                        matched.append(
+                            self._selected_slots(document, filters)
                         )
             path = (
                 (ingest, node_id)
@@ -856,14 +848,11 @@ class MoveSystem(DisseminationSystem):
 
         for subset in lost_subsets:
             for term_id in term_ids:
-                triples = self._home_subset_triples(
+                lost = self._home_subset_slots(
                     caches, home_id, origin_key, grid, term_id
-                )
-                ctx.unreachable.update(
-                    filter_id
-                    for candidate_subset, filter_id, _ in triples
-                    if candidate_subset == subset
-                )
+                ).get(subset)
+                if lost is not None:
+                    ctx.unreachable.append(lost)
         return messages
 
     def _choose_ingest(self) -> str:

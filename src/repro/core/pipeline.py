@@ -18,7 +18,15 @@ per batch of documents:
    (:meth:`~repro.baselines.base.DisseminationSystem._execute`);
 4. **accounting** — :class:`~repro.baselines.base.NodeTask`
    construction and the Figure 9 load metrics, identical for every
-   scheme (:meth:`DisseminationPipeline._disseminate`).
+   scheme (:meth:`DisseminationPipeline._disseminate`);
+5. **delivery** — once per batch, every document's matched slab slots
+   resolve to its filter ids
+   (:meth:`~repro.model.slab.FilterSlabStore.resolve_ids`; large match
+   sets share one vectorized pass that orders them by the slab's
+   order key), followed by the predicate gate and the unreachable
+   reconciliation.  Execution works in slot space only: filter-id
+   strings are looked up once, at this boundary, and the plan sorts
+   them when they are first read.
 
 Memoization lives here, once: :class:`BatchCaches` holds the per-term
 route decisions, posting-list retrievals, forwarding-row groupings,
@@ -57,11 +65,11 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Hashable,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     TYPE_CHECKING,
 )
@@ -69,6 +77,7 @@ from typing import (
 from ..baselines.base import DisseminationPlan, NodeTask
 from ..errors import BatchContractError
 from ..model import Document, Filter
+from ..model.slab import FilterSlabStore
 from ..sim.engine import Clock, PERF_CLOCK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,12 +88,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: filter" in the route memo.
 _UNROUTED = object()
 
-#: Memoized posting retrieval: (filters, their filter ids, posting
-#: lists touched, posting entries scanned).  ``filters`` is any
+#: Memoized posting retrieval: (filters, their slab slots, posting
+#: lists touched, posting entries scanned).  ``slots`` is an
+#: ``array('q')`` of slots, ascending; ``filters`` is any
 #: sequence/iterable of the posting's filters — boolean paths consume
-#: only the id tuple, and the index supplies a lazy sequence that
+#: only the slots, and the index supplies a lazy sequence that
 #: rehydrates ``Filter`` objects from its slab on iteration.
-Retrieval = Tuple[Sequence[Filter], Tuple[str, ...], int, int]
+Retrieval = Tuple[Sequence[Filter], Sequence[int], int, int]
 
 
 class WorkAccumulator:
@@ -226,12 +236,10 @@ class BatchCaches:
         #: groupings per partition), RS by partition index (live
         #: replica lists).
         self.routing: Dict[Hashable, object] = {}
-        #: (origin key, term id) -> [(subset, filter id, filter), ...]
-        #: home-index postings annotated with each filter's grid
-        #: subset (MOVE's home-fallback and lost-subset paths).
-        self.home_subsets: Dict[
-            Tuple[str, int], List[Tuple[int, str, Filter]]
-        ] = {}
+        #: (origin key, term id) -> {grid subset: slots}: a home-index
+        #: posting split by each filter's grid subset (MOVE's
+        #: home-fallback and lost-subset paths).
+        self.home_subsets: Dict[Tuple[str, int], Dict[int, List[int]]] = {}
         #: id(document) -> :class:`repro.matching.kernel.DocumentScores`
         #: (tf–idf weights, norm, suffix masses, per-filter score
         #: memo), shared by every node/partition visit of the batch and
@@ -250,10 +258,10 @@ class BatchCaches:
         Callers check ``caches.retrieval.get(key)`` first (keeping the
         hit path a single dict probe) and call this only on a miss.
         The index builds the entry (``InvertedIndex.retrieve_for_term``)
-        so it can hand back filter ids straight from the slab columns
-        with a lazy filter sequence in the ``filters`` position —
-        boolean paths never touch it, threshold paths rehydrate through
-        the slab's bounded cache.
+        so it can hand back the posting's slots with a lazy filter
+        sequence in the ``filters`` position — boolean paths never
+        touch it, threshold paths rehydrate through the slab's bounded
+        cache.
         """
         entry = index.retrieve_for_term(term)
         self.retrieval[key] = entry
@@ -261,16 +269,25 @@ class BatchCaches:
 
 
 class ExecutionContext:
-    """One document's pass through the execution stage.
+    """One document's pass through the pipeline.
 
     Carries the mutable dissemination state the scheme callbacks fill
-    in: the matched/unreachable filter-id sets, the per-destination
+    in: the matched and unreachable slab slots, the per-destination
     :class:`WorkAccumulator`, the control-plane message count, and the
-    batch caches.
+    batch caches; the accounting stage adds the document's tasks.
 
-    **Lifetime.**  A context lives for exactly one document within one
-    batch — it is constructed by the pipeline's ingest stage and dies
-    with the document's plan.  It borrows the pipeline's
+    ``matched`` and ``unreachable`` are lists of slot sequences —
+    memoized posting slots appended as they are, duplicates and all.
+    When every document of the batch has executed, the pipeline
+    resolves their matched slots to filter ids in one call
+    (:meth:`~repro.model.slab.FilterSlabStore.resolve_ids`).  That
+    happens before ``publish_batch`` returns, so before the system can
+    mutate again: a later ``unregister`` + ``subscribe`` can hand a
+    freed slot to another filter.
+
+    **Lifetime.**  A context lives for one document within one batch
+    — it is constructed by the pipeline's ingest stage and dies with
+    the document's plan.  It borrows the pipeline's
     :class:`BatchCaches` (it does not own them) and therefore inherits
     the epoch contract: the registration/allocation/membership state
     the caches memoize must not change while the context is in flight.
@@ -286,6 +303,7 @@ class ExecutionContext:
         "unreachable",
         "work",
         "routing_messages",
+        "tasks",
     )
 
     def __init__(
@@ -294,10 +312,22 @@ class ExecutionContext:
         self.document = document
         self.ingest = ingest
         self.caches = caches
-        self.matched: Set[str] = set()
-        self.unreachable: Set[str] = set()
+        self.matched: List[Sequence[int]] = []
+        self.unreachable: List[Sequence[int]] = []
         self.work = WorkAccumulator()
         self.routing_messages = 0
+        self.tasks: List[NodeTask] = []
+
+
+def _unreachable_ids(
+    slab: FilterSlabStore,
+    parts: Sequence[Sequence[int]],
+    matched_ids: Tuple[str, ...],
+) -> FrozenSet[str]:
+    """Ids lost to failures that no live holder delivered."""
+    filter_id = slab.filter_id
+    lost = {filter_id(slot) for part in parts for slot in part}
+    return frozenset(lost.difference(matched_ids))
 
 
 def group_terms_by_home(
@@ -376,8 +406,8 @@ class DisseminationPipeline:
     def _run_batch(
         self,
         documents: Sequence[Document],
-        disseminate: Callable[[Document, BatchCaches], object],
-    ) -> list:
+        disseminate: Callable[[Document, BatchCaches], ExecutionContext],
+    ) -> List[ExecutionContext]:
         """Open a batch and run ``disseminate`` over its documents.
 
         The one batch opener of the untraced, predicated and traced
@@ -386,8 +416,10 @@ class DisseminationPipeline:
         to the scoring kernel for the batch (via ``_active_caches`` —
         `_apply_semantics`'s two-argument signature is public API for
         subclassers and cannot carry it), and re-checks the epoch
-        before every document.  Closing the batch drops the
-        per-document score vectors, which key by ``id(document)``.
+        before every document and after the last one — the slots the
+        contexts hold are resolved to ids only afterwards.  Closing the
+        batch drops the per-document score vectors, which key by
+        ``id(document)``.
         """
         system = self.system
         epoch = system._batch_epoch()
@@ -395,23 +427,54 @@ class DisseminationPipeline:
         if caches is None or caches.epoch != epoch:
             caches = self._caches = BatchCaches(epoch=epoch)
         system._active_caches = caches
+
         try:
-            results = []
+            contexts = []
             for document in documents:
                 if caches.epoch != system._batch_epoch():
-                    raise BatchContractError(
-                        f"{system.name}: registration, allocation, or "
-                        "cluster membership mutated inside a publish "
-                        f"batch (epoch {caches.epoch} -> "
-                        f"{system._batch_epoch()}); mutations must be "
-                        "serialized between batches — the memos would "
-                        "otherwise be stale"
-                    )
-                results.append(disseminate(document, caches))
-            return results
+                    break
+                contexts.append(disseminate(document, caches))
+            if caches.epoch == system._batch_epoch():
+                return contexts
+            raise BatchContractError(
+                f"{system.name}: registration, allocation, or "
+                "cluster membership mutated inside a publish "
+                f"batch (epoch {caches.epoch} -> "
+                f"{system._batch_epoch()}); mutations must be "
+                "serialized between batches — the memos would "
+                "otherwise be stale"
+            )
         finally:
             caches.doc_scores.clear()
             system._active_caches = None
+
+    def _resolve(
+        self, contexts: Sequence[ExecutionContext]
+    ) -> List[Tuple[str, ...]]:
+        """Every document's matched ids, in one slab call."""
+        return self.system.filter_slab.resolve_ids(
+            [ctx.matched for ctx in contexts]
+        )
+
+    def _plan(
+        self, ctx: ExecutionContext, delivered_ids: Tuple[str, ...]
+    ) -> DisseminationPlan:
+        """The document's plan; unreachable ids that a live holder
+        delivered are dropped."""
+        unreachable = ctx.unreachable
+        return DisseminationPlan(
+            document=ctx.document,
+            delivered_ids=delivered_ids,
+            tasks=ctx.tasks,
+            unreachable_filter_ids=(
+                _unreachable_ids(
+                    self.system.filter_slab, unreachable, delivered_ids
+                )
+                if unreachable
+                else frozenset()
+            ),
+            routing_messages=ctx.routing_messages,
+        )
 
     def publish_batch(
         self, documents: Sequence[Document]
@@ -435,36 +498,33 @@ class DisseminationPipeline:
     def _publish_batch_untraced(
         self, documents: Sequence[Document]
     ) -> List[DisseminationPlan]:
-        """The raw engine loop: ``_disseminate`` per document.
+        """The raw engine loop: ``_disseminate`` per document, then
+        one id resolution for the batch.
 
         Kept as a separate method so the disabled-overhead bench can
         time the identical code object with and without the public
         dispatcher above — their ratio isolates exactly what tracing
         costs when disabled.
         """
-        return self._run_batch(documents, self._disseminate)
+        contexts = self._run_batch(documents, self._disseminate)
+        return [
+            self._plan(ctx, delivered_ids)
+            for ctx, delivered_ids in zip(contexts, self._resolve(contexts))
+        ]
 
     def _disseminate(
         self, document: Document, caches: BatchCaches
-    ) -> DisseminationPlan:
+    ) -> ExecutionContext:
         system = self.system
         system._observe(document)
         ctx = ExecutionContext(document, system._choose_ingest(), caches)
         routes = system._resolve_routes(document, caches)
         system._execute(ctx, routes)
         # -- accounting (stage 4): identical for every scheme ---------
-        tasks = ctx.work.tasks()
-        unreachable = ctx.unreachable
-        unreachable.difference_update(ctx.matched)
-        system._account_tasks(tasks)
+        ctx.tasks = ctx.work.tasks()
+        system._account_tasks(ctx.tasks)
         system.metrics.counter("documents_published").add()
-        return DisseminationPlan(
-            document=document,
-            matched_filter_ids=ctx.matched,
-            tasks=tasks,
-            unreachable_filter_ids=unreachable,
-            routing_messages=ctx.routing_messages,
-        )
+        return ctx
 
     # -- predicated twin -----------------------------------------------------
 
@@ -476,48 +536,34 @@ class DisseminationPipeline:
         Selected once per batch (the dispatcher's ``has_predicates``
         check), so systems holding only flat filters never pay for it:
         :meth:`_publish_batch_untraced` stays byte-identical to the
-        pre-predicate pipeline.  Everything up to the execute stage —
-        cache set, hook order, RNG consumption — is identical;
-        the gate only *removes* ids from the matched set afterwards
+        pre-predicate pipeline.  Everything up to id resolution —
+        cache set, hook order, RNG consumption — is identical; the
+        gate only *removes* ids from each delivery list afterwards
         (it consumes no RNG), so flat subscriptions disseminate
-        bit-identically on either loop.
+        bit-identically on either loop.  It runs before unreachable
+        ids are reconciled against the delivered ones, so an id the
+        predicate rejects at one node but a failure lost at another
+        stays counted as unreachable (the same convention the
+        threshold semantics established).
         """
-        return self._run_batch(documents, self._disseminate_predicated)
+        contexts = self._run_batch(documents, self._disseminate)
+        return [
+            self._plan(ctx, self._gate(ctx.document, delivered_ids)[0])
+            for ctx, delivered_ids in zip(contexts, self._resolve(contexts))
+        ]
 
-    def _disseminate_predicated(
-        self, document: Document, caches: BatchCaches
-    ) -> DisseminationPlan:
-        """:meth:`_disseminate` plus the delivery-boundary gate.
-
-        The gate runs between execution and accounting — in
-        particular *before* unreachable ids are reconciled against
-        the matched set, so an id the predicate rejects at one node
-        but a failure lost at another stays counted as unreachable
-        (the same convention the threshold semantics established).
-        """
+    def _gate(
+        self, document: Document, delivered_ids: Tuple[str, ...]
+    ) -> Tuple[Tuple[str, ...], int, int]:
+        """The predicate gate plus its per-document counters."""
         system = self.system
-        system._observe(document)
-        ctx = ExecutionContext(document, system._choose_ingest(), caches)
-        routes = system._resolve_routes(document, caches)
-        system._execute(ctx, routes)
-        evaluated, rejected = system._apply_predicate_gate(
-            document, ctx.matched
+        delivered_ids, evaluated, rejected = system._apply_predicate_gate(
+            document, delivered_ids
         )
         metrics = system.metrics
         metrics.counter("predicate_evaluated").add(float(evaluated))
         metrics.counter("predicate_rejected").add(float(rejected))
-        tasks = ctx.work.tasks()
-        unreachable = ctx.unreachable
-        unreachable.difference_update(ctx.matched)
-        system._account_tasks(tasks)
-        metrics.counter("documents_published").add()
-        return DisseminationPlan(
-            document=document,
-            matched_filter_ids=ctx.matched,
-            tasks=tasks,
-            unreachable_filter_ids=unreachable,
-            routing_messages=ctx.routing_messages,
-        )
+        return delivered_ids, evaluated, rejected
 
     # -- traced twin ---------------------------------------------------------
 
@@ -526,35 +572,69 @@ class DisseminationPipeline:
     ) -> List[DisseminationPlan]:
         """The traced mirror of :meth:`publish_batch`.
 
-        One root ``publish_batch`` span per batch; everything else —
-        cache set, hook order, RNG consumption, accounting — is
-        identical to the untraced path, so plans are bit-for-bit the
-        same.
+        One root ``publish_batch`` span per batch, with the per-document
+        spans of :meth:`_disseminate_traced` and one ``deliver`` span
+        for the batch's id resolution (and predicate gate) under it;
+        everything else — cache set, hook order, RNG consumption,
+        accounting — is identical to the untraced path, so plans are
+        bit-for-bit the same.  Each ``publish`` span is annotated with
+        its plan's fanout and candidate/match counts once the plan is
+        built.
         """
+        system = self.system
+        spans: List[Tuple[object, object]] = []
         with tracer.span(
             "publish_batch",
-            system=self.system.name,
+            system=system.name,
             batch_size=len(documents),
         ):
-            return self._run_batch(
+            contexts = self._run_batch(
                 documents,
                 lambda document, caches: self._disseminate_traced(
-                    document, caches, tracer
+                    document, caches, tracer, spans
                 ),
             )
+            gated = getattr(system, "has_predicates", False)
+            plans = []
+            with tracer.span("deliver"):
+                resolved = self._resolve(contexts)
+                for ctx, delivered_ids, (doc_span, exec_span) in zip(
+                    contexts, resolved, spans
+                ):
+                    if gated:
+                        delivered_ids, evaluated, rejected = self._gate(
+                            ctx.document, delivered_ids
+                        )
+                        exec_span.annotate(
+                            predicate_evaluated=evaluated,
+                            predicate_rejected=rejected,
+                        )
+                    plan = self._plan(ctx, delivered_ids)
+                    doc_span.annotate(
+                        fanout=plan.fanout,
+                        matched=len(plan.delivered_ids),
+                        candidate_entries=plan.total_posting_entries,
+                        unreachable=len(plan.unreachable_filter_ids),
+                    )
+                    plans.append(plan)
+        return plans
 
     def _disseminate_traced(
-        self, document: Document, caches: BatchCaches, tracer
-    ) -> DisseminationPlan:
+        self,
+        document: Document,
+        caches: BatchCaches,
+        tracer,
+        spans: List[Tuple[object, object]],
+    ) -> ExecutionContext:
         """One document under the span model of :mod:`repro.obs.tracing`.
 
         A ``publish`` span wraps the document; each pipeline stage gets
         one child span (``observe`` / ``ingest`` / ``route`` /
         ``execute`` / ``account``); the execution stage's work
         accumulator is swapped for the traced variant, whose folds emit
-        the per-node ``execute_node`` sub-spans.  The ``publish`` span
-        is annotated with the plan's fanout and candidate/match counts
-        once they are known.
+        the per-node ``execute_node`` sub-spans.  The ``publish`` and
+        ``execute`` spans go to ``spans`` for the batch's delivery step
+        to annotate.
         """
         system = self.system
         with tracer.span(
@@ -571,38 +651,9 @@ class DisseminationPipeline:
             with tracer.span("execute") as exec_span:
                 ctx.work = TracedWorkAccumulator(tracer, self.clock)
                 system._execute(ctx, routes)
-                if getattr(system, "has_predicates", False):
-                    evaluated, rejected = system._apply_predicate_gate(
-                        document, ctx.matched
-                    )
-                    exec_span.annotate(
-                        predicate_evaluated=evaluated,
-                        predicate_rejected=rejected,
-                    )
-                    metrics = system.metrics
-                    metrics.counter("predicate_evaluated").add(
-                        float(evaluated)
-                    )
-                    metrics.counter("predicate_rejected").add(
-                        float(rejected)
-                    )
             with tracer.span("account"):
-                tasks = ctx.work.tasks()
-                unreachable = ctx.unreachable
-                unreachable.difference_update(ctx.matched)
-                system._account_tasks(tasks)
+                ctx.tasks = ctx.work.tasks()
+                system._account_tasks(ctx.tasks)
                 system.metrics.counter("documents_published").add()
-                plan = DisseminationPlan(
-                    document=document,
-                    matched_filter_ids=ctx.matched,
-                    tasks=tasks,
-                    unreachable_filter_ids=unreachable,
-                    routing_messages=ctx.routing_messages,
-                )
-            doc_span.annotate(
-                fanout=plan.fanout,
-                matched=len(ctx.matched),
-                candidate_entries=plan.total_posting_entries,
-                unreachable=len(unreachable),
-            )
-        return plan
+        spans.append((doc_span, exec_span))
+        return ctx

@@ -608,7 +608,7 @@ class ClusterThroughputHarness:
             nonlocal total_fanout, total_matches, total_unreachable
             plan = self.system.publish(document)
             total_fanout += plan.fanout
-            total_matches += len(plan.matched_filter_ids)
+            total_matches += len(plan.delivered_ids)
             total_unreachable += len(plan.unreachable_filter_ids)
             if not plan.tasks:
                 nonlocal meter_completed

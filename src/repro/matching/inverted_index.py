@@ -22,9 +22,10 @@ private slab.  Consequences:
   ``|f|`` averages 2–3) — no per-filter bookkeeping dicts;
 - every object-returning read (``filters_for_term``, ``all_filters``,
   the matchers) *rehydrates* through the slab's bounded cache, so the
-  hot boolean pipeline — which consumes only filter-id tuples via
-  :meth:`InvertedIndex.retrieve_for_term` — never materializes a
-  ``Filter`` at all;
+  hot boolean pipeline — which consumes only slot arrays via
+  :meth:`InvertedIndex.retrieve_for_term` and resolves filter ids once
+  per batch (:meth:`~repro.model.slab.FilterSlabStore.resolve_ids`) —
+  never materializes a ``Filter`` at all;
 - :meth:`InvertedIndex.add_slots` is the slot-native bulk loader the
   MOVE reallocation engine feeds directly from home-index postings, so
   rebuilding a subset index never rehydrates a single filter.
@@ -33,7 +34,16 @@ private slab.  Consequences:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import MatchingError
 from ..model import Document, Filter
@@ -66,7 +76,7 @@ class _SlabPostingFilters:
 
     __slots__ = ("_slab", "_slots")
 
-    def __init__(self, slab: FilterSlabStore, slots: Tuple[int, ...]) -> None:
+    def __init__(self, slab: FilterSlabStore, slots: Sequence[int]) -> None:
         self._slab = slab
         self._slots = slots
 
@@ -322,24 +332,19 @@ class InvertedIndex:
     def retrieve_for_term(self, term: str):
         """One posting retrieval in the pipeline's memo shape.
 
-        Returns ``(filters, filter_ids, posting_lists,
-        posting_entries)`` — the :data:`repro.core.pipeline.Retrieval`
-        tuple.  The boolean any-term paths consume only the id tuple;
-        ``filters`` is a lazy sequence that rehydrates objects only
-        when threshold semantics actually iterate it.
+        Returns ``(filters, slots, posting_lists, posting_entries)`` —
+        the :data:`repro.core.pipeline.Retrieval` tuple.  ``slots`` is
+        a copy of the posting's slab slots, ascending, as an
+        ``array('q')``; the boolean any-term paths
+        consume only them.  ``filters`` is a lazy sequence that
+        rehydrates objects only when threshold semantics actually
+        iterate it.
         """
         plist = self.posting_list(term)
         if plist is None:
             return [], (), 0, 0
-        slab = self.slab
-        slots = plist.ids()
-        filter_id = slab.filter_id
-        return (
-            _SlabPostingFilters(slab, slots),
-            tuple(filter_id(slot) for slot in slots),
-            1,
-            len(slots),
-        )
+        slots = plist.snapshot()
+        return _SlabPostingFilters(self.slab, slots), slots, 1, len(slots)
 
     def match_document_single_term(
         self, document: Document, term: str

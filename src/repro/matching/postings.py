@@ -77,6 +77,11 @@ class PostingList:
         """Immutable snapshot of the posting ids."""
         return tuple(self._ids)
 
+    def snapshot(self) -> array:
+        """A copy of the posting ids as an ``array('q')``: one memcpy,
+        8 bytes per id, no per-id int objects."""
+        return self._ids[:]
+
     def union(self, other: "PostingList") -> List[int]:
         """Sorted merge of two lists (no duplicates)."""
         merged: List[int] = []

@@ -14,6 +14,12 @@ plain integer slots:
   and precomputed ``sqrt(|f|)`` norms.  ``Filter`` objects are
   *rehydrated* from the columns only at delivery boundaries, through a
   small bounded cache.
+- an order-key column — the first :data:`ORDER_KEY_BYTES` bytes of
+  each id's UTF-8 encoding as one big-endian integer, written at
+  ``add`` — lets :meth:`FilterSlabStore.resolve_ids` put a batch's
+  large match sets into id order with one vectorized argsort and
+  resolve each id string once, already (nearly) sorted (the delivery
+  boundary);
 - :class:`SlabRegistry` — a ``MutableMapping`` view over the slab that
   :class:`~repro.baselines.base.DisseminationSystem` uses as its
   registration table: assignment interns into the slab, lookup
@@ -39,7 +45,9 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from math import sqrt
+from operator import itemgetter
 from typing import (
+    Collection,
     Dict,
     Iterator,
     List,
@@ -48,6 +56,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from ..text.interning import DEFAULT_INTERNER, TermInterner
 from .filter import Filter
@@ -67,6 +77,33 @@ DEFAULT_HYDRATION_CACHE = 4096
 #: per release and the buffer never grows past twice its live cells
 #: plus this floor.
 COMPACT_MIN_DEAD_CELLS = 4096
+
+#: Width of the order-key column: ids that share this many leading
+#: UTF-8 bytes tie on the key, and only the final ``sorted`` of their
+#: readers orders them (:meth:`FilterSlabStore.resolve_ids`).
+ORDER_KEY_BYTES = 7
+
+#: Groups (documents) with fewer posting entries than this resolve in
+#: plain Python — a set union of their slots, ids in no particular
+#: order: below it the numpy calls of a vectorized pass cost more than
+#: the whole job.  A measured crossover (docs/PERFORMANCE.md,
+#: "Slot-space delivery"): served ingest-small (~14 entries per
+#: document) loses 16 % closed-loop docs/s with the pass on every
+#: document, match-heavy (133-3 300) loses its gain with the set union
+#: on every document, and 64-256 keep both.
+VECTOR_MIN_ENTRIES = 64
+
+#: Groups resolved in one vectorized pass of
+#: :meth:`FilterSlabStore.resolve_ids`: a group's index fills the byte
+#: above the order key in its sort keys.
+GROUPS_PER_PASS = 256
+_GROUP_RANKS = np.arange(GROUPS_PER_PASS, dtype=np.uint64) << np.uint64(
+    8 * ORDER_KEY_BYTES
+)
+#: ``(group, slot)`` dedupe keys hold the slot in the low bits.
+_SLOT_BITS = 40
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_GROUP_PAIRS = np.arange(GROUPS_PER_PASS + 1, dtype=np.int64) << _SLOT_BITS
 
 #: CPython overhead estimate for one short str object (header + ascii).
 _STR_OVERHEAD = 49
@@ -88,6 +125,10 @@ class FilterSlabStore:
       never needs the object);
     - ``_filter_ids[slot]`` — the external string id (``None`` while
       the slot sits on the free list);
+    - ``_order_keys[slot]`` — the id's order key (see
+      :func:`order_key`): ``s < t`` implies ``key(s) <= key(t)``,
+      because UTF-8 byte order is code-point order and zero padding
+      sorts a prefix before its extensions;
     - ``_owners`` — sparse: only filters whose owner differs from
       their id pay for the extra string;
     - ``_queries`` — sparse: only predicate subscriptions store their
@@ -103,6 +144,7 @@ class FilterSlabStore:
         "_lengths",
         "_norms",
         "_filter_ids",
+        "_order_keys",
         "_owners",
         "_queries",
         "_parsed",
@@ -127,6 +169,7 @@ class FilterSlabStore:
         self._lengths: array = array("i")
         self._norms: array = array("d")
         self._filter_ids: List[Optional[str]] = []
+        self._order_keys: array = array("Q")
         self._owners: Dict[int, str] = {}
         self._queries: Dict[int, str] = {}
         self._parsed: Dict[int, Optional[QueryNode]] = {}
@@ -189,12 +232,14 @@ class FilterSlabStore:
             self._lengths[slot] = len(term_ids)
             self._norms[slot] = sqrt(len(term_ids))
             self._filter_ids[slot] = profile.filter_id
+            self._order_keys[slot] = order_key(profile.filter_id)
         else:
             slot = len(self._filter_ids)
             self._starts.append(start)
             self._lengths.append(len(term_ids))
             self._norms.append(sqrt(len(term_ids)))
             self._filter_ids.append(profile.filter_id)
+            self._order_keys.append(order_key(profile.filter_id))
         if profile.owner != profile.filter_id:
             self._owners[slot] = profile.owner
         query = getattr(profile, "query", "")
@@ -265,6 +310,83 @@ class FilterSlabStore:
         if filter_id is None:
             raise KeyError(f"slot {slot} is free")
         return filter_id
+
+    def resolve_ids(
+        self, groups: Sequence[Sequence[Sequence[int]]]
+    ) -> List[Tuple[str, ...]]:
+        """Each group's distinct filter ids, ready for a cheap sort.
+
+        A group is one document's matched slots: memoized posting
+        slots as they are, duplicates and all.  A group with fewer than
+        :data:`VECTOR_MIN_ENTRIES` entries takes the union of its slots
+        in a set, and its ids come back in no particular order — for a
+        few dozen ids ``sorted`` is cheap anyway.  Larger groups, up to
+        :data:`GROUPS_PER_PASS` at a time, share one vectorized pass
+        (:meth:`_key_ordered_pass`), so a batch of documents pays the
+        numpy calls' fixed cost once:
+
+        1. one sort of ``(group, slot)`` keys drops each group's
+           duplicate slots;
+        2. one argsort of ``(group, order key)`` keys puts each group's
+           slots in id order, up to ties on the key prefix;
+        3. each id string is looked up once, so a group's ids come back
+           in id order except among ids that tie on the key — a final
+           ``sorted`` needs about ``n`` comparisons under Timsort.
+        """
+        ids = self._filter_ids
+        resolved: List[Tuple[str, ...]] = []
+        vectored: List[int] = []
+        for group in groups:
+            if sum(map(len, group)) < VECTOR_MIN_ENTRIES:
+                resolved.append(_lookup(ids, set().union(*group)))
+            else:
+                vectored.append(len(resolved))
+                resolved.append(())
+        for start in range(0, len(vectored), GROUPS_PER_PASS):
+            chunk = vectored[start : start + GROUPS_PER_PASS]
+            passed = self._key_ordered_pass([groups[i] for i in chunk])
+            for i, group_ids in zip(chunk, passed):
+                resolved[i] = group_ids
+        return resolved
+
+    def _key_ordered_pass(
+        self, groups: Sequence[Sequence[Sequence[int]]]
+    ) -> List[Tuple[str, ...]]:
+        flat = array("q")
+        sizes: List[int] = []
+        for group in groups:
+            before = len(flat)
+            for part in group:
+                flat.extend(part)
+            sizes.append(len(flat) - before)
+        # A last pseudo-group holding the largest possible key closes
+        # the final run of the dedupe below: a sort and one shifted
+        # compare, several times cheaper here than ``np.unique``.
+        flat.append(_SLOT_MASK)
+        sizes.append(1)
+        pairs = np.repeat(_GROUP_PAIRS[: len(sizes)], sizes)
+        pairs |= np.frombuffer(flat, dtype=np.int64)
+        pairs.sort()
+        head = pairs[:-1]
+        pairs = head[head != pairs[1:]]
+        owners = pairs >> _SLOT_BITS
+        slots = pairs & _SLOT_MASK
+        # A transient view: an ``array`` exporting its buffer cannot
+        # grow, so the view must not outlive this call.
+        keys = np.frombuffer(self._order_keys, dtype=np.uint64)
+        ranks = _GROUP_RANKS[owners] | keys[slots]
+        del keys
+        ordered = slots[np.argsort(ranks)].tolist()
+        counts = np.bincount(owners, minlength=len(groups)).tolist()
+        ids = self._filter_ids
+        found = _lookup(ids, ordered)
+        resolved: List[Tuple[str, ...]] = []
+        start = 0
+        for count in counts:
+            end = start + count
+            resolved.append(found[start:end])
+            start = end
+        return resolved
 
     def owner(self, slot: int) -> str:
         return self._owners.get(slot) or self.filter_id(slot)
@@ -371,6 +493,7 @@ class FilterSlabStore:
         """
         buffers = (
             len(self._term_ids) * self._term_ids.itemsize
+            + len(self._order_keys) * self._order_keys.itemsize
             + len(self._starts) * self._starts.itemsize
             + len(self._lengths) * self._lengths.itemsize
             + len(self._norms) * self._norms.itemsize
@@ -396,6 +519,27 @@ class FilterSlabStore:
             "queries": len(self._queries),
             "parsed_predicates": len(self._parsed),
         }
+
+
+def _lookup(
+    ids: List[Optional[str]], slots: Collection[int]
+) -> Tuple[str, ...]:
+    """``ids[slot]`` for each slot, as a tuple, in one C call when
+    there are several (``itemgetter`` returns a lone item bare)."""
+    if len(slots) > 1:
+        return itemgetter(*slots)(ids)
+    return tuple([ids[slot] for slot in slots])
+
+
+def order_key(filter_id: str) -> int:
+    """The id's first :data:`ORDER_KEY_BYTES` UTF-8 bytes, zero-padded,
+    as one big-endian unsigned integer.
+
+    Lone surrogates encode as their three-byte form, which keeps byte
+    order equal to code-point order for every Python string.
+    """
+    prefix = filter_id.encode("utf-8", "surrogatepass")[:ORDER_KEY_BYTES]
+    return int.from_bytes(prefix.ljust(ORDER_KEY_BYTES, b"\0"), "big")
 
 
 class SlabRegistry(MutableMapping):

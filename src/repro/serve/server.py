@@ -57,6 +57,9 @@ class ServiceServer:
         self.port = port
         self.max_frame_bytes = max_frame_bytes
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Live connection handler tasks and their writers;
+        #: :meth:`close` ends them.
+        self._handlers: Dict["asyncio.Task", asyncio.StreamWriter] = {}
         #: Set when a ``shutdown`` request asks the process to exit.
         self.shutdown_requested = asyncio.Event()
 
@@ -76,18 +79,47 @@ class ServiceServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def close(self) -> None:
-        """Stop accepting, then drain the runtime."""
+        """Stop accepting, drain the runtime, then end connections.
+
+        Every accepted request is answered before its connection ends.
+        Closing a connection's transport ends its handler's read with
+        end-of-stream, so each handler returns on its own and is
+        awaited here: a handler task left for ``asyncio.run`` to
+        cancel makes the stream protocol log a ``CancelledError``
+        traceback.
+        """
         if self._server is not None:
             self._server.close()
+        await self.runtime.close()
+        handlers = list(self._handlers.items())
+        for _, writer in handlers:
+            writer.close()
+        if handlers:
+            await asyncio.wait([task for task, _ in handlers])
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        await self.runtime.close()
 
     async def _handle_connection(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers[task] = writer
+        try:
+            await self._serve_connection(reader, writer)
+        except ConnectionError:
+            pass  # the client went away mid-response
+        finally:
+            del self._handlers[task]
+
+    async def _serve_connection(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """The hello exchange, then frames until the client leaves."""
         try:
             try:
                 first = await reader.readline()
@@ -226,7 +258,7 @@ class ServiceServer:
     def _encode_plan(enc: WireEncoder, plan) -> None:
         wire.encode_plan_summary(
             enc,
-            sorted(plan.matched_filter_ids),
+            plan.matched_ids,
             plan.fanout,
             plan.total_posting_entries,
         )

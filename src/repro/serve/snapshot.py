@@ -30,7 +30,8 @@ Format history: 1 — filters as per-object ``InvertedIndex`` dicts;
 2 — filters in the columnar slab, postings of slab slots; 3 — the
 scoring kernel keeps no per-filter slots, norms or profiles, and
 indexes carry no mutation listeners; 4 — cluster nodes carry no
-key/value storage engine and the cluster no replication strategies.
+key/value storage engine and the cluster no replication strategies;
+5 — the filter slab carries a per-slot order-key column.
 
 Any validation failure loads as :class:`~repro.errors.SnapshotError`;
 callers treat that snapshot as nonexistent and fall back to the next
@@ -48,7 +49,7 @@ from typing import List, Tuple, Union
 from ..errors import SnapshotError
 
 #: Snapshot format this build writes and reads (see the module doc).
-FORMAT = 4
+FORMAT = 5
 _MAGIC_PREFIX = b"MVSNAP"
 _MAGIC = _MAGIC_PREFIX + str(FORMAT).encode() + b"\n"
 _HEADER = struct.Struct("<QII")

@@ -435,12 +435,51 @@ def encode_plan_summary(
 
 
 def decode_plan_summary(dec: WireDecoder) -> Dict[str, Any]:
-    matched = [dec.string() for _ in range(dec.varint())]
+    """The inverse of :func:`encode_plan_summary`.
+
+    The ids of an ASCII block come out of one slice and one decode
+    (:func:`_ascii_ids`); any other block — a non-ASCII id, an id of
+    128 bytes or more, a truncated frame — goes through the per-id
+    reader, which raises :class:`~repro.errors.ProtocolError` on
+    truncation and bad UTF-8.
+    """
+    count = dec.varint()
+    matched = _ascii_ids(dec, count)
+    if matched is None:
+        matched = [dec.string() for _ in range(count)]
     return {
         "matched": matched,
         "fanout": dec.varint(),
         "posting_entries": dec.varint(),
     }
+
+
+def _ascii_ids(dec: WireDecoder, count: int) -> Optional[List[str]]:
+    """``count`` ids written by the one-join encoder, or None.
+
+    Walks the one-byte length prefixes to the end of the block, then
+    checks and decodes the block once: every byte below 0x80 means
+    every prefix was a one-byte varint and every id ASCII.  Returns
+    None (and leaves ``dec`` where it was) for any other block.
+    """
+    data = dec.data
+    start = dec.pos
+    view = memoryview(data)[start:]
+    pos = 0
+    bounds = [0]
+    append = bounds.append
+    try:
+        for _ in range(count):
+            pos += view[pos] + 1
+            append(pos)
+    except IndexError:  # ran off the frame: truncated
+        return None
+    block = data[start:start + pos]
+    if len(block) < pos or not block.isascii():
+        return None
+    text = block.decode("ascii")
+    dec.pos = start + pos
+    return [text[a + 1:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # -- WAL record codec ------------------------------------------------------

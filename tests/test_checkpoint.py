@@ -312,14 +312,14 @@ def test_corrupt_newest_snapshot_falls_back_to_older_plus_tail(
 # ---------------------------------------------------------------------------
 
 #: Formats an older build wrote; this one must refuse each by name.
-OLD_FORMATS = [1, 2, 3]
+OLD_FORMATS = [1, 2, 3, 4]
 
 
 def _refusal(found):
     """What ``load_snapshot`` says about a file of an older format."""
     return (
         f"snapshot format {found} was written by an older build; "
-        "this build reads format 4"
+        "this build reads format 5"
     )
 
 

@@ -3,10 +3,12 @@
 The serve path touches each document's bytes once.  The document
 decoder scans them in one loop and keeps a canonical document's bytes,
 the record codec appends those bytes verbatim, and a plan's ids encode
-in one join.  These tests hold each fast path to its reference:
+in one join and decode from one slice.  These tests hold each fast
+path to its reference:
 
 - the one-join plan encoding equals the per-id ``string`` loop for any
-  id list;
+  id list, and the one-slice plan decoding equals the per-id reader on
+  every encoding and on arbitrary bytes;
 - the one-scan document decoder equals the per-field
   :class:`~repro.serve.wire.WireDecoder` reference on every encoding,
   canonical or not, and on arbitrary bytes it raises what the
@@ -161,6 +163,93 @@ def test_plan_encoding_at_the_single_byte_boundaries(ids):
     enc = WireEncoder()
     wire.encode_plan_summary(enc, ids, 0, 0)
     assert bytes(enc.buf) == _reference_plan(ids, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Plan decoding: one slice, one decode
+# ---------------------------------------------------------------------------
+
+
+def _reference_plan_decode(dec: WireDecoder):
+    matched = [dec.string() for _ in range(dec.varint())]
+    return matched, dec.varint(), dec.varint()
+
+
+def _plan_outcome(decode, data: bytes, start: int = 0):
+    dec = WireDecoder(data)
+    dec.pos = start
+    try:
+        result = decode(dec)
+    except ProtocolError:
+        return "ProtocolError"
+    return result, dec.pos
+
+
+def _fast_plan_decode(dec: WireDecoder):
+    summary = wire.decode_plan_summary(dec)
+    return (
+        summary["matched"],
+        summary["fanout"],
+        summary["posting_entries"],
+    )
+
+
+_EDGE_IDS = st.lists(
+    st.one_of(
+        st.text(max_size=6),
+        st.sampled_from(
+            ["", "x" * 127, "x" * 128, "x" * 300, "é", "ü" * 70, "f\x7f"]
+        ),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=_EDGE_IDS, tail=st.binary(max_size=4), cut=st.integers(0, 40))
+def test_plan_decoder_equals_the_per_id_reference(ids, tail, cut):
+    """Encoded plans (whole, mid-buffer, and truncated) decode as the
+    per-id reader decodes them, raising where it raises."""
+    body = _reference_plan(ids, 5, 300)
+    data = b"\x07" + body + tail
+    assert _plan_outcome(_fast_plan_decode, data, 1) == _plan_outcome(
+        _reference_plan_decode, data, 1
+    )
+    assert _plan_outcome(_fast_plan_decode, data, 1)[0][0] == ids
+    truncated = data[: max(1, len(data) - cut)]
+    assert _plan_outcome(
+        _fast_plan_decode, truncated, 1
+    ) == _plan_outcome(_reference_plan_decode, truncated, 1)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[], ["a" * 127], ["a" * 128], ["a" * 300], ["", "b"], ["f1", "fé"]],
+    ids=["empty", "len127", "len128", "len300", "empty-id", "non-ascii"],
+)
+def test_plan_decoding_at_the_single_byte_boundaries(ids):
+    data = _reference_plan(ids, 0, 0)
+    assert _plan_outcome(_fast_plan_decode, data) == (
+        (ids, 0, 0),
+        len(data),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.binary(max_size=64))
+def test_plan_decoder_agrees_with_the_reference_on_any_bytes(data):
+    assert _plan_outcome(_fast_plan_decode, data) == _plan_outcome(
+        _reference_plan_decode, data
+    )
+
+
+def test_plan_decoder_rejects_truncation_and_bad_utf8():
+    good = _reference_plan(["f1", "f22"], 1, 2)
+    for cut in range(len(good)):
+        with pytest.raises(ProtocolError):
+            wire.decode_plan_summary(WireDecoder(good[:cut]))
+    with pytest.raises(ProtocolError, match="UTF-8"):
+        wire.decode_plan_summary(WireDecoder(b"\x01\x02\xff\xfe\x00\x00"))
 
 
 # ---------------------------------------------------------------------------

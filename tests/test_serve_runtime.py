@@ -490,6 +490,51 @@ def test_commands_serialize_between_batches():
     assert second.matched_filter_ids == {"f-gamma"}
 
 
+def test_plans_name_their_filters_when_a_later_item_reuses_the_slot(
+    tmp_path,
+):
+    """Plans carry filter ids resolved while the batch ran.  An
+    ``unregister`` + ``subscribe`` in the same commit window hands the
+    freed slab slot to another filter before any ack is released, and
+    the batch's plans must still name the filter that matched."""
+
+    async def scenario():
+        runtime = ServiceRuntime(
+            ServeConfig(scheme="move", num_nodes=4, wal_dir=str(tmp_path))
+        )
+        await runtime.start()
+        await runtime.subscribe(
+            [Filter.from_terms("f-x", ["alpha"]), _PROFILES[1]]
+        )
+        await runtime.command("finalize")
+        slab = runtime.system.filter_slab
+        slot = slab.slot_of("f-x")
+        docs = [
+            Document.from_terms(f"w{i}", ["alpha", f"t{i}"])
+            for i in range(8)
+        ]
+        writer = runtime.journal.writer
+        before = writer.fsyncs
+        plans, _, _ = await asyncio.gather(
+            runtime.ingest_batch(docs),
+            runtime.unregister("f-x"),
+            runtime.subscribe([Filter.from_terms("f-y", ["zeta"])]),
+        )
+        windows = writer.fsyncs - before
+        reused = slab.slot_of("f-y") == slot
+        after = await runtime.ingest(
+            Document.from_terms("late", ["alpha", "zeta"])
+        )
+        await runtime.close()
+        return plans, windows, reused, after
+
+    plans, windows, reused, after = asyncio.run(scenario())
+    assert windows == 1  # batch, unregister and subscribe: one window
+    assert reused
+    assert [plan.matched_ids for plan in plans] == [("f-x",)] * 8
+    assert after.matched_ids == ("f-y",)
+
+
 # ---------------------------------------------------------------------------
 # Batch contract enforcement (pipeline level)
 # ---------------------------------------------------------------------------
@@ -518,6 +563,22 @@ def test_mid_batch_registration_raises_contract_error():
     system._observe = mutate_once
     with pytest.raises(BatchContractError):
         system.publish_batch(_DOCS[:2])
+
+
+def test_mutation_during_the_last_document_raises_contract_error():
+    """Ids are resolved after the batch's last document, so a mutation
+    there — which could hand a matched slot to another filter — is
+    caught too."""
+    system = _registered_system()
+    original = system._observe
+
+    def mutate(document):
+        system.subscribe(Filter.from_terms("late", ["zzz"]))
+        original(document)
+
+    system._observe = mutate
+    with pytest.raises(BatchContractError):
+        system.publish_batch(_DOCS[:1])
 
 
 def test_mid_batch_membership_change_raises_contract_error():
