@@ -1,8 +1,8 @@
 """Micro-benchmarks of the hot components.
 
 Not paper figures — these time the building blocks the figure
-experiments stress (stemming, Bloom filter, posting lists, ring
-lookup, SIFT vs home-node matching) so performance regressions in the
+experiments stress (stemming, Bloom filter, ring lookup, SIFT
+matching, query evaluation) so performance regressions in the
 substrate are visible independently of the system-level numbers.
 """
 
@@ -43,19 +43,6 @@ def test_micro_bloom_filter(benchmark):
 
     hits = benchmark(probe_batch)
     assert hits >= len(probes) // 2
-
-
-def test_micro_posting_list_operations(benchmark):
-    from repro.matching import PostingList
-
-    base = PostingList("t", range(0, 20_000, 2))
-    other = PostingList("t", range(0, 20_000, 3))
-
-    def merge():
-        return len(base.union(other)), len(base.intersect(other))
-
-    union_len, intersect_len = benchmark(merge)
-    assert union_len > intersect_len
 
 
 def test_micro_ring_lookup(benchmark):
@@ -111,15 +98,3 @@ def test_micro_query_evaluation(benchmark):
 
     hits = benchmark(evaluate_batch)
     assert hits == 500
-
-
-def test_micro_home_node_matching(benchmark):
-    index = _build_index(5_000)
-    term = index.terms()[0]
-    document = Document.from_terms("d", [term, "zz1", "zz2"])
-
-    def match():
-        filters, cost = index.match_document_single_term(document, term)
-        return len(filters)
-
-    benchmark(match)

@@ -18,15 +18,18 @@ stage hooks (:meth:`~DisseminationSystem._choose_ingest`,
 :meth:`~DisseminationSystem._resolve_routes`,
 :meth:`~DisseminationSystem._execute`, plus the optional
 :meth:`~DisseminationSystem._observe`) instead of overriding
-:meth:`~DisseminationSystem.publish` directly.
+:meth:`~DisseminationSystem.publish` directly.  The schemes differ
+only in routing: every node they visit runs the same matching step,
+:meth:`~DisseminationSystem._match_node`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import (
+    Callable,
     FrozenSet,
     Iterable,
     List,
@@ -201,6 +204,10 @@ class DisseminationSystem(ABC):
                 f"threshold must be in (0, 1], got {threshold}"
             )
         self.threshold = threshold
+        #: The semantics seam: ``None`` delivers every term-sharing
+        #: candidate (boolean any-term); under a threshold,
+        #: :meth:`_match_node` asks this
+        #: :class:`~repro.matching.kernel.ScoreKernel` which to deliver.
         if threshold is not None:
             from ..matching.kernel import ScoreKernel
             from ..matching.vsm import VsmScorer
@@ -210,50 +217,12 @@ class DisseminationSystem(ABC):
         else:
             self._scorer = None
             self._kernel = None
-        #: The pipeline's :class:`~repro.core.pipeline.BatchCaches`,
-        #: set only while a ``publish_batch`` runs so the scoring
-        #: kernel can share per-document vectors across node visits
-        #: without widening the `_apply_semantics` signature.
-        self._active_caches: Optional["BatchCaches"] = None
         # Deferred import: the pipeline module imports this one for
         # the plan/task types, so it cannot be imported at module
         # scope without a cycle.
         from ..core.pipeline import DisseminationPipeline
 
         self._engine = DisseminationPipeline(self)
-
-    def _apply_semantics(
-        self, document: Document, filters: Iterable[Filter]
-    ) -> List[Filter]:
-        """Post-filter term-sharing candidates by the active semantics.
-
-        Under the threshold semantics this routes through the
-        score-accumulation kernel (:mod:`repro.matching.kernel`): the
-        document's tf–idf vector is computed once per batch and each
-        (document, filter) cosine once ever, bit-for-bit identical to
-        ``VsmScorer.similarity``.  Subclasses may override to swap in
-        different semantics — candidate order is preserved, and the
-        systems detect overrides and keep feeding every term-sharing
-        candidate through here (see ``_kernel_accumulates``).
-        """
-        kernel = self._kernel
-        if kernel is None:
-            return list(filters)
-        return kernel.select(document, filters, self._active_caches)
-
-    def _kernel_accumulates(self) -> bool:
-        """True when the accumulation pass may run.
-
-        Requires a kernel (threshold semantics) *and* the base
-        `_apply_semantics`: a subclass override must see every
-        term-sharing candidate, so the systems fall back to the
-        candidate-dedup path whenever one is installed.
-        """
-        return (
-            self._kernel is not None
-            and type(self)._apply_semantics
-            is DisseminationSystem._apply_semantics
-        )
 
     def _make_index(self) -> InvertedIndex:
         """One local inverted index over the system's shared slab.
@@ -560,16 +529,6 @@ class DisseminationSystem(ABC):
             delivered_ids = tuple(kept)
         return delivered_ids, evaluated, rejected
 
-    def _selected_slots(
-        self, document: Document, candidates: Iterable[Filter]
-    ) -> List[int]:
-        """Slab slots of the candidates the active semantics deliver."""
-        slot_of = self.filter_slab.slot_of
-        return [
-            slot_of(profile.filter_id)
-            for profile in self._apply_semantics(document, candidates)
-        ]
-
     @property
     def total_filters(self) -> int:
         return len(self._registered)
@@ -624,10 +583,11 @@ class DisseminationSystem(ABC):
         )
 
     def _execute(self, ctx: "ExecutionContext", routes: object) -> None:
-        """Stage 3: per-node matching and work accumulation.
+        """Stage 3: routing to the nodes that match the document.
 
-        Appends slot sequences to ``ctx.matched`` and
-        ``ctx.unreachable`` and fills ``ctx.work`` and
+        Decides which nodes and indexes to visit and runs
+        :meth:`_match_node` on each live one (or
+        :meth:`_unreachable_at` for a dead one's share), and sets
         ``ctx.routing_messages``.  Any per-document RNG (partition
         draws, failure fallbacks) is consumed here, after the ingest
         draw, in the same order as the seed implementations.
@@ -635,6 +595,78 @@ class DisseminationSystem(ABC):
         raise NotImplementedError(
             f"{type(self).__name__} must implement _execute"
         )
+
+    def _match_node(
+        self,
+        ctx: "ExecutionContext",
+        node_id: str,
+        index: InvertedIndex,
+        term_ids: Sequence[int],
+        path: Tuple[str, ...],
+        *,
+        all_terms: bool = False,
+        served: Optional[Callable[[int], List[Sequence[int]]]] = None,
+    ) -> None:
+        """One node's matching step, the same for every scheme.
+
+        Retrieves the posting lists of ``term_ids`` from the node's
+        ``index`` (memoized per epoch in ``ctx.caches``), appends the
+        slots the active semantics deliver to ``ctx.matched``, and
+        folds the lists and entries scanned into ``ctx.work`` under
+        the payload route ``path``.
+
+        ``all_terms`` states the index contract.  The RS and
+        Centralized indexes hold each filter under all of its terms,
+        so threshold semantics score them in one accumulation pass
+        (``ScoreKernel.match_slots``); the IL and MOVE home and subset
+        indexes hold single-term postings, so each candidate's full
+        cosine comes from the cached document vector
+        (``ScoreKernel.select``).  ``served`` maps a term id to the
+        runs of its posting the node delivers (MOVE's home fallback
+        serves only the subsets that fell back to it); the node still
+        scans the whole posting.
+        """
+        kernel = self._kernel
+        if all_terms and kernel is not None:
+            slots, lists, entries = kernel.match_slots(
+                ctx.document, index, ctx.caches
+            )
+            ctx.matched.append(slots)
+        else:
+            # Boolean any-term delivers every candidate: the runs go
+            # straight to ``ctx.matched``.
+            runs = ctx.matched if kernel is None else []
+            memo = ctx.caches.postings_of(index)
+            lists = entries = 0
+            for term_id in term_ids:
+                slots, n_lists, n_entries = memo[term_id]
+                lists += n_lists
+                entries += n_entries
+                if served is None:
+                    runs.append(slots)
+                else:
+                    runs.extend(served(term_id))
+            if kernel is not None:
+                slab = self.filter_slab
+                slot_of = slab.slot_of
+                selected = kernel.select(
+                    ctx.document, map(slab.get, chain(*runs)), ctx.caches
+                )
+                ctx.matched.append(
+                    [slot_of(profile.filter_id) for profile in selected]
+                )
+        ctx.work.add(node_id, lists, entries, path)
+
+    def _unreachable_at(
+        self,
+        ctx: "ExecutionContext",
+        index: InvertedIndex,
+        term_ids: Sequence[int],
+    ) -> None:
+        """A dead node's share: its postings of ``term_ids``, appended
+        to ``ctx.unreachable``."""
+        memo = ctx.caches.postings_of(index)
+        ctx.unreachable.extend(memo[term_id][0] for term_id in term_ids)
 
     # -- publication --------------------------------------------------------
 

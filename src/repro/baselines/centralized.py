@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cluster.cluster import Cluster
 from ..config import CostModelConfig, SystemConfig
-from ..core.pipeline import BatchCaches, ExecutionContext, Retrieval
+from ..core.pipeline import BatchCaches, ExecutionContext
 from ..errors import ConfigurationError
 from ..matching.inverted_index import InvertedIndex
 from ..matching.sift import SiftMatcher
@@ -217,59 +217,18 @@ class CentralizedSystem(DisseminationSystem):
     def _execute(self, ctx: ExecutionContext, central: str) -> None:
         """Centralized SIFT matching over all document terms."""
         ctx.routing_messages = 1
-        caches = ctx.caches
-        document = ctx.document
-        if not self.cluster.node(central).alive:
-            for term, term_id in zip(document.terms, document.term_ids):
-                ctx.unreachable.append(
-                    self._retrieve_cached(caches, term_id, term)[1]
-                )
-            return
-        matched = ctx.matched
-        lists = 0
-        entries = 0
-        if self._scorer is None:
-            for term, term_id in zip(document.terms, document.term_ids):
-                _, slots, n_lists, n_entries = (
-                    self._retrieve_cached(caches, term_id, term)
-                )
-                lists += n_lists
-                entries += n_entries
-                matched.append(slots)
-        elif self._kernel_accumulates():
-            # Score-accumulation SIFT: the central index holds every
-            # filter under all its terms, so one pass over the |d|
-            # posting lists accumulates each candidate's full dot
-            # product (see repro.matching.kernel).
-            slots, lists, entries = self._kernel.match_slots(
-                document, self.index, caches
+        term_ids = ctx.document.term_ids
+        if self.cluster.node(central).alive:
+            self._match_node(
+                ctx,
+                central,
+                self.index,
+                term_ids,
+                (ctx.ingest, central),
+                all_terms=True,
             )
-            matched.append(slots)
         else:
-            # Dedup candidates across terms (as SIFT does) before
-            # scoring each one once against the threshold.
-            candidates: Dict[str, Filter] = {}
-            for term, term_id in zip(document.terms, document.term_ids):
-                filters, _, n_lists, n_entries = (
-                    self._retrieve_cached(caches, term_id, term)
-                )
-                lists += n_lists
-                entries += n_entries
-                for profile in filters:
-                    candidates.setdefault(profile.filter_id, profile)
-            matched.append(
-                self._selected_slots(document, candidates.values())
-            )
-        ctx.work.add(central, lists, entries, (ctx.ingest, central))
-
-    def _retrieve_cached(
-        self, caches: BatchCaches, term_id: int, term: str
-    ) -> Retrieval:
-        """Central-index posting retrieval, memoized per epoch."""
-        entry = caches.retrieval.get(term_id)
-        if entry is None:
-            entry = caches.retrieve(term_id, self.index, term)
-        return entry
+            self._unreachable_at(ctx, self.index, term_ids)
 
     def _choose_ingest(self) -> str:
         live = self.cluster.live_node_ids()

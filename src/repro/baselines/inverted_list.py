@@ -27,13 +27,11 @@ from ..config import SystemConfig
 from ..core.pipeline import (
     BatchCaches,
     ExecutionContext,
-    Retrieval,
     group_terms_by_home,
 )
 from ..matching.bloom import BloomFilter
 from ..matching.inverted_index import InvertedIndex
 from ..model import Document, Filter
-from ..text.interning import DEFAULT_INTERNER
 from .base import DisseminationSystem
 
 
@@ -123,45 +121,14 @@ class InvertedListSystem(DisseminationSystem):
     ) -> None:
         """Single-term posting matching on each term's home node."""
         ctx.routing_messages = len(routes)
-        caches = ctx.caches
-        document = ctx.document
-        matched = ctx.matched
-        plain_boolean = self._scorer is None
         for node_id, term_ids in routes.items():
-            if not self.cluster.node(node_id).alive:
-                for term_id in term_ids:
-                    ctx.unreachable.append(
-                        self._retrieve_cached(caches, node_id, term_id)[1]
-                    )
-                continue
-            lists = 0
-            entries = 0
-            for term_id in term_ids:
-                filters, slots, n_lists, n_entries = (
-                    self._retrieve_cached(caches, node_id, term_id)
+            index = self.index_of(node_id)
+            if self.cluster.node(node_id).alive:
+                self._match_node(
+                    ctx, node_id, index, term_ids, (ctx.ingest, node_id)
                 )
-                lists += n_lists
-                entries += n_entries
-                if plain_boolean:
-                    matched.append(slots)
-                else:
-                    matched.append(self._selected_slots(document, filters))
-            ctx.work.add(node_id, lists, entries, (ctx.ingest, node_id))
-
-    def _retrieve_cached(
-        self, caches: BatchCaches, node_id: str, term_id: int
-    ) -> Retrieval:
-        """Posting retrieval for one home term, memoized per epoch
-        (the home node derives from the term, so the id alone keys it).
-        """
-        entry = caches.retrieval.get(term_id)
-        if entry is None:
-            entry = caches.retrieve(
-                term_id,
-                self.index_of(node_id),
-                DEFAULT_INTERNER.term(term_id),
-            )
-        return entry
+            else:
+                self._unreachable_at(ctx, index, term_ids)
 
     def _choose_ingest(self) -> str:
         """Documents enter at a random live node (a client connection)."""

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cluster.cluster import Cluster
 from ..config import SystemConfig
-from ..core.pipeline import BatchCaches, ExecutionContext, Retrieval
+from ..core.pipeline import BatchCaches, ExecutionContext
 from ..errors import ConfigurationError
 from ..matching.inverted_index import InvertedIndex
 from ..model import Document, Filter
@@ -133,12 +133,9 @@ class RendezvousSystem(DisseminationSystem):
         """One randomly chosen live replica of every partition runs the
         centralized SIFT match over all document terms."""
         ctx.routing_messages = self.partition_level
-        caches = ctx.caches
-        document = ctx.document
-        matched = ctx.matched
-        rosters = caches.routing
+        rosters = ctx.caches.routing
         node_of = self.cluster.node
-        plain_boolean = self._scorer is None
+        term_ids = ctx.document.term_ids
         for p_index, partition in enumerate(routes):
             live = rosters.get(p_index)
             if live is None:
@@ -150,73 +147,19 @@ class RendezvousSystem(DisseminationSystem):
                 rosters[p_index] = live
             if not live:
                 # Whole partition down: its filter share is unreachable.
-                sample = partition[0]
-                for term, term_id in zip(
-                    document.terms, document.term_ids
-                ):
-                    ctx.unreachable.append(
-                        self._retrieve_cached(caches, sample, term_id, term)[1]
-                    )
+                self._unreachable_at(
+                    ctx, self._indexes[partition[0]], term_ids
+                )
                 continue
             node_id = self._rng.choice(live)
-            lists = 0
-            entries = 0
-            if plain_boolean:
-                for term, term_id in zip(
-                    document.terms, document.term_ids
-                ):
-                    _, slots, n_lists, n_entries = (
-                        self._retrieve_cached(
-                            caches, node_id, term_id, term
-                        )
-                    )
-                    lists += n_lists
-                    entries += n_entries
-                    matched.append(slots)
-            elif self._kernel_accumulates():
-                # Score-accumulation SIFT: every replica indexes its
-                # filters under all their terms, so one pass over the
-                # |d| posting lists accumulates each candidate's full
-                # dot product (see repro.matching.kernel).
-                slots, lists, entries = self._kernel.match_slots(
-                    document, self._indexes[node_id], caches
-                )
-                matched.append(slots)
-            else:
-                # Dedup candidates across terms (as SIFT does) before
-                # scoring each one once against the threshold.
-                candidates: Dict[str, Filter] = {}
-                for term, term_id in zip(
-                    document.terms, document.term_ids
-                ):
-                    filters, _, n_lists, n_entries = (
-                        self._retrieve_cached(
-                            caches, node_id, term_id, term
-                        )
-                    )
-                    lists += n_lists
-                    entries += n_entries
-                    for profile in filters:
-                        candidates.setdefault(profile.filter_id, profile)
-                matched.append(
-                    self._selected_slots(document, candidates.values())
-                )
-            ctx.work.add(node_id, lists, entries, (ctx.ingest, node_id))
-
-    def _retrieve_cached(
-        self,
-        caches: BatchCaches,
-        node_id: str,
-        term_id: int,
-        term: str,
-    ) -> Retrieval:
-        """Per-replica posting retrieval, memoized per epoch (RS nodes
-        index under all terms, so the node must be part of the key)."""
-        key = (node_id, term_id)
-        entry = caches.retrieval.get(key)
-        if entry is None:
-            entry = caches.retrieve(key, self._indexes[node_id], term)
-        return entry
+            self._match_node(
+                ctx,
+                node_id,
+                self._indexes[node_id],
+                term_ids,
+                (ctx.ingest, node_id),
+                all_terms=True,
+            )
 
     def _choose_ingest(self) -> str:
         live = self.cluster.live_node_ids()

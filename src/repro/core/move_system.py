@@ -28,8 +28,8 @@ from __future__ import annotations
 import random
 import time
 from collections import defaultdict
-from itertools import chain
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.cluster import Cluster
 from ..config import SystemConfig
@@ -51,7 +51,6 @@ from .reallocation import (
 from .pipeline import (
     BatchCaches,
     ExecutionContext,
-    Retrieval,
     group_terms_by_home,
 )
 from .placement import PlacementSelector
@@ -672,53 +671,26 @@ class MoveSystem(DisseminationSystem):
             if local_term_ids:
                 self._match_at_home(ctx, home_id, local_term_ids)
 
-    def _home_retrieve(
-        self, caches: BatchCaches, home_id: str, term_id: int
-    ) -> Retrieval:
-        """Home-index posting retrieval, memoized per epoch."""
-        entry = caches.retrieval.get(term_id)
-        if entry is None:
-            entry = caches.retrieve(
-                term_id,
-                self.home_index(home_id),
-                DEFAULT_INTERNER.term(term_id),
-            )
-        return entry
-
-    def _allocated_retrieve(
+    def _subset_postings(
         self,
         caches: BatchCaches,
-        node_id: str,
-        origin_key: str,
-        term_id: int,
-    ) -> Retrieval:
-        """Allocated-subset-index retrieval, memoized per epoch."""
-        key = (node_id, origin_key, term_id)
-        entry = caches.retrieval.get(key)
-        if entry is None:
-            entry = caches.retrieve(
-                key,
-                self._allocated_indexes[node_id][origin_key],
-                DEFAULT_INTERNER.term(term_id),
-            )
-        return entry
-
-    def _home_subset_slots(
-        self,
-        caches: BatchCaches,
-        home_id: str,
+        home_index: InvertedIndex,
         origin_key: str,
         grid,
+        subsets: Sequence[int],
         term_id: int,
-    ) -> Dict[int, List[int]]:
-        """Home posting of one term split by each filter's grid subset,
-        memoized per epoch (saves one stable hash per filter per
-        document on the home-fallback and lost-subset paths).  Each
-        subset's slots stay ascending, in posting order."""
+    ) -> List[Sequence[int]]:
+        """The home posting of one term restricted to ``subsets`` of
+        the grid: one ascending run of slots per subset present.
+
+        The split by grid subset is memoized per epoch (saves one
+        stable hash per filter per document on the home-fallback and
+        lost-subset paths).
+        """
         key = (origin_key, term_id)
         by_subset = caches.home_subsets.get(key)
         if by_subset is None:
-            _, slots, _, _ = self._home_retrieve(caches, home_id, term_id)
+            slots = caches.postings_of(home_index)[term_id][0]
             filter_id = self.filter_slab.filter_id
             by_subset = {}
             for slot in slots:
@@ -726,35 +698,19 @@ class MoveSystem(DisseminationSystem):
                     grid.subset_of(filter_id(slot)), []
                 ).append(slot)
             caches.home_subsets[key] = by_subset
-        return by_subset
+        return [by_subset[s] for s in subsets if s in by_subset]
 
     def _match_at_home(
         self, ctx: ExecutionContext, home_id: str, term_ids: List[int]
     ) -> None:
         """IL-style local matching on an unallocated home node."""
-        caches = ctx.caches
-        if not self.cluster.node(home_id).alive:
-            for term_id in term_ids:
-                ctx.unreachable.append(
-                    self._home_retrieve(caches, home_id, term_id)[1]
-                )
-            return
-        document = ctx.document
-        matched = ctx.matched
-        plain_boolean = self._scorer is None
-        lists = 0
-        entries = 0
-        for term_id in term_ids:
-            filters, slots, n_lists, n_entries = (
-                self._home_retrieve(caches, home_id, term_id)
+        index = self.home_index(home_id)
+        if self.cluster.node(home_id).alive:
+            self._match_node(
+                ctx, home_id, index, term_ids, (ctx.ingest, home_id)
             )
-            lists += n_lists
-            entries += n_entries
-            if plain_boolean:
-                matched.append(slots)
-            else:
-                matched.append(self._selected_slots(document, filters))
-        ctx.work.add(home_id, lists, entries, (ctx.ingest, home_id))
+        else:
+            self._unreachable_at(ctx, index, term_ids)
 
     def _match_allocated(
         self,
@@ -774,86 +730,52 @@ class MoveSystem(DisseminationSystem):
         so any node can reconstruct them.
         """
         caches = ctx.caches
-        document = ctx.document
         ingest = ctx.ingest
-        matched = ctx.matched
-        home_alive = self.cluster.node(home_id).alive
+        node_of = self.cluster.node
+        home_alive = node_of(home_id).alive
         router = home_id if home_alive else ingest
         grid = table.grid
-
-        node_of = self.cluster.node
         grouping, lost_subsets = table.route_grouped(
             self._rng,
             is_alive=lambda node_id: node_of(node_id).alive,
             home_alive=home_alive,
             memo=caches.routing.setdefault(origin_key, {}),
         )
-
-        plain_boolean = self._scorer is None
-        messages = 0
         for node_id, subsets in grouping:
-            lists = 0
-            entries = 0
-            if node_id == home_id:
-                # Home fallback: the home node retains every filter;
-                # restrict matching to the subsets that fell back.
-                restrict_subsets = set(subsets)
-                for term_id in term_ids:
-                    _, _, n_lists, n_entries = self._home_retrieve(
-                        caches, home_id, term_id
-                    )
-                    lists += n_lists
-                    entries += n_entries
-                    by_subset = self._home_subset_slots(
-                        caches, home_id, origin_key, grid, term_id
-                    )
-                    parts = [
-                        by_subset[subset]
-                        for subset in restrict_subsets
-                        if subset in by_subset
-                    ]
-                    if plain_boolean:
-                        matched.extend(parts)
-                    elif parts:
-                        # Posting order: the slots ascending.
-                        get = self.filter_slab.get
-                        candidates = [
-                            get(slot) for slot in sorted(chain(*parts))
-                        ]
-                        matched.append(
-                            self._selected_slots(document, candidates)
-                        )
-            else:
-                for term_id in term_ids:
-                    filters, slots, n_lists, n_entries = (
-                        self._allocated_retrieve(
-                            caches, node_id, origin_key, term_id
-                        )
-                    )
-                    lists += n_lists
-                    entries += n_entries
-                    if plain_boolean:
-                        matched.append(slots)
-                    else:
-                        matched.append(
-                            self._selected_slots(document, filters)
-                        )
             path = (
                 (ingest, node_id)
                 if router == node_id
                 else (ingest, router, node_id)
             )
-            ctx.work.add(node_id, lists, entries, path)
-            messages += 1
-
-        for subset in lost_subsets:
+            if node_id == home_id:
+                # Home fallback: the home node retains every filter
+                # and serves the subsets that fell back to it.
+                home_index = self.home_index(home_id)
+                self._match_node(
+                    ctx, node_id, home_index, term_ids, path,
+                    served=partial(
+                        self._subset_postings,
+                        caches, home_index, origin_key, grid, subsets,
+                    ),
+                )
+            else:
+                self._match_node(
+                    ctx,
+                    node_id,
+                    self._allocated_indexes[node_id][origin_key],
+                    term_ids,
+                    path,
+                )
+        if lost_subsets:
+            home_index = self.home_index(home_id)
             for term_id in term_ids:
-                lost = self._home_subset_slots(
-                    caches, home_id, origin_key, grid, term_id
-                ).get(subset)
-                if lost is not None:
-                    ctx.unreachable.append(lost)
-        return messages
+                ctx.unreachable.extend(
+                    self._subset_postings(
+                        caches, home_index, origin_key, grid,
+                        lost_subsets, term_id,
+                    )
+                )
+        return len(grouping)
 
     def _choose_ingest(self) -> str:
         live = self.cluster.live_node_ids()

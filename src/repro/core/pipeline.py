@@ -13,9 +13,11 @@ per batch of documents:
    home-node lookup, forwarding-table partition draw, flooded
    partitions, or the one central matcher
    (:meth:`~repro.baselines.base.DisseminationSystem._resolve_routes`);
-3. **execution** — per-node posting retrieval and matching, with all
-   per-destination work folded into a :class:`WorkAccumulator`
-   (:meth:`~repro.baselines.base.DisseminationSystem._execute`);
+3. **execution** — the scheme's routing picks the nodes to visit and
+   their indexes (:meth:`~repro.baselines.base.DisseminationSystem.
+   _execute`); every visit runs the one node-matching step
+   (:meth:`~repro.baselines.base.DisseminationSystem._match_node`),
+   which folds its work into a :class:`WorkAccumulator`;
 4. **accounting** — :class:`~repro.baselines.base.NodeTask`
    construction and the Figure 9 load metrics, identical for every
    scheme (:meth:`DisseminationPipeline._disseminate`);
@@ -29,7 +31,7 @@ per batch of documents:
    them when they are first read.
 
 Memoization lives here, once: :class:`BatchCaches` holds the per-term
-route decisions, posting-list retrievals, forwarding-row groupings,
+route decisions, per-index posting retrievals, forwarding-row groupings,
 and home-subset annotations that are pure functions of registration +
 allocation + membership state.  The pipeline keeps one cache set per
 *epoch* — the counter
@@ -76,9 +78,10 @@ from typing import (
 
 from ..baselines.base import DisseminationPlan, NodeTask
 from ..errors import BatchContractError
-from ..model import Document, Filter
+from ..model import Document
 from ..model.slab import FilterSlabStore
 from ..sim.engine import Clock, PERF_CLOCK
+from ..text.interning import DEFAULT_INTERNER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..baselines.base import DisseminationSystem
@@ -88,13 +91,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: filter" in the route memo.
 _UNROUTED = object()
 
-#: Memoized posting retrieval: (filters, their slab slots, posting
-#: lists touched, posting entries scanned).  ``slots`` is an
-#: ``array('q')`` of slots, ascending; ``filters`` is any
-#: sequence/iterable of the posting's filters — boolean paths consume
-#: only the slots, and the index supplies a lazy sequence that
-#: rehydrates ``Filter`` objects from its slab on iteration.
-Retrieval = Tuple[Sequence[Filter], Sequence[int], int, int]
+#: Memoized posting retrieval: (the posting's slab slots, posting lists
+#: touched, posting entries scanned).  ``slots`` is an ``array('q')``
+#: copy of the posting, ascending (``()`` for a term the index lacks).
+Retrieval = Tuple[Sequence[int], int, int]
+
+
+class PostingMemo(dict):
+    """One index's posting retrievals, keyed by document term id.
+
+    A hit is a plain dict lookup; a miss asks the index
+    (:meth:`~repro.matching.inverted_index.InvertedIndex.
+    retrieve_for_term`) and keeps the answer for the epoch.  The miss
+    passes the term string, not the id: documents carry
+    :data:`~repro.text.interning.DEFAULT_INTERNER` ids, while a slab
+    restored from a snapshot keys its postings by the ids of the
+    interner it was pickled with.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: "InvertedIndex") -> None:
+        super().__init__()
+        self.index = index
+
+    def __missing__(self, term_id: int) -> Retrieval:
+        entry = self[term_id] = self.index.retrieve_for_term(
+            DEFAULT_INTERNER.term(term_id)
+        )
+        return entry
 
 
 class WorkAccumulator:
@@ -195,9 +220,7 @@ class BatchCaches:
 
     Everything here except :attr:`doc_scores` is a pure function of
     registration, allocation, and cluster-membership state.  Term-keyed
-    maps use the dense shared-interner term id; composite keys are
-    scheme-chosen tuples (ints and tuples never collide, so one map
-    serves every scheme).
+    maps use the dense shared-interner term id.
 
     **Lifetime.**  A cache set lives for one *epoch*, not one batch:
     the owning :class:`DisseminationPipeline` reuses it for every
@@ -217,7 +240,7 @@ class BatchCaches:
     __slots__ = (
         "epoch",
         "route",
-        "retrieval",
+        "postings",
         "routing",
         "home_subsets",
         "doc_scores",
@@ -229,9 +252,9 @@ class BatchCaches:
         self.epoch = epoch
         #: term id -> destination node, or None when pruned (Bloom).
         self.route: Dict[int, Optional[str]] = {}
-        #: retrieval key (term id, or a scheme tuple such as
-        #: ``(node, origin, term id)``) -> memoized posting retrieval.
-        self.retrieval: Dict[Hashable, Retrieval] = {}
+        #: index -> its :class:`PostingMemo`: one memo per visited
+        #: index (home, subset, replica or central), term ids inside.
+        self.postings: Dict["InvertedIndex", PostingMemo] = {}
         #: routing state memo: MOVE keys it by origin (forwarding-row
         #: groupings per partition), RS by partition index (live
         #: replica lists).
@@ -250,22 +273,12 @@ class BatchCaches:
         #: statistics or registration change.
         self.doc_scores: Dict[int, object] = {}
 
-    def retrieve(
-        self, key: Hashable, index: "InvertedIndex", term: str
-    ) -> Retrieval:
-        """Perform and memoize one posting-list retrieval.
-
-        Callers check ``caches.retrieval.get(key)`` first (keeping the
-        hit path a single dict probe) and call this only on a miss.
-        The index builds the entry (``InvertedIndex.retrieve_for_term``)
-        so it can hand back the posting's slots with a lazy filter
-        sequence in the ``filters`` position — boolean paths never
-        touch it, threshold paths rehydrate through the slab's bounded
-        cache.
-        """
-        entry = index.retrieve_for_term(term)
-        self.retrieval[key] = entry
-        return entry
+    def postings_of(self, index: "InvertedIndex") -> PostingMemo:
+        """The posting memo of ``index``, created on its first visit."""
+        memo = self.postings.get(index)
+        if memo is None:
+            memo = self.postings[index] = PostingMemo(index)
+        return memo
 
 
 class ExecutionContext:
@@ -412,22 +425,17 @@ class DisseminationPipeline:
 
         The one batch opener of the untraced, predicated and traced
         loops: reuses the cache set while the system's batch epoch is
-        unchanged and replaces it when the epoch has moved, exposes it
-        to the scoring kernel for the batch (via ``_active_caches`` —
-        `_apply_semantics`'s two-argument signature is public API for
-        subclassers and cannot carry it), and re-checks the epoch
-        before every document and after the last one — the slots the
-        contexts hold are resolved to ids only afterwards.  Closing the
-        batch drops the per-document score vectors, which key by
-        ``id(document)``.
+        unchanged and replaces it when the epoch has moved, and
+        re-checks the epoch before every document and after the last
+        one — the slots the contexts hold are resolved to ids only
+        afterwards.  Closing the batch drops the per-document score
+        vectors, which key by ``id(document)``.
         """
         system = self.system
         epoch = system._batch_epoch()
         caches = self._caches
         if caches is None or caches.epoch != epoch:
             caches = self._caches = BatchCaches(epoch=epoch)
-        system._active_caches = caches
-
         try:
             contexts = []
             for document in documents:
@@ -446,7 +454,6 @@ class DisseminationPipeline:
             )
         finally:
             caches.doc_scores.clear()
-            system._active_caches = None
 
     def _resolve(
         self, contexts: Sequence[ExecutionContext]

@@ -65,33 +65,6 @@ class RetrievalCost:
         )
 
 
-class _SlabPostingFilters:
-    """Lazy ``Sequence[Filter]`` over a snapshot of posting slots.
-
-    Sits in the ``filters`` position of the pipeline's memoized
-    :data:`~repro.core.pipeline.Retrieval` tuple: boolean any-term
-    paths never touch it, threshold paths iterate it and rehydrate
-    through the slab's bounded cache on demand.
-    """
-
-    __slots__ = ("_slab", "_slots")
-
-    def __init__(self, slab: FilterSlabStore, slots: Sequence[int]) -> None:
-        self._slab = slab
-        self._slots = slots
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __iter__(self) -> Iterator[Filter]:
-        get = self._slab.get
-        for slot in self._slots:
-            yield get(slot)
-
-    def __getitem__(self, index: int) -> Filter:
-        return self._slab.get(self._slots[index])
-
-
 def _indexed_terms(
     profile: Filter, indexed_terms: Optional[Iterable[str]]
 ) -> Iterable[str]:
@@ -329,38 +302,21 @@ class InvertedIndex:
         get = self.slab.get
         return [get(slot) for slot in plist], RetrievalCost(1, len(plist))
 
-    def retrieve_for_term(self, term: str):
+    def retrieve_for_term(
+        self, term: str
+    ) -> Tuple[Sequence[int], int, int]:
         """One posting retrieval in the pipeline's memo shape.
 
-        Returns ``(filters, slots, posting_lists, posting_entries)`` —
-        the :data:`repro.core.pipeline.Retrieval` tuple.  ``slots`` is
-        a copy of the posting's slab slots, ascending, as an
-        ``array('q')``; the boolean any-term paths
-        consume only them.  ``filters`` is a lazy sequence that
-        rehydrates objects only when threshold semantics actually
-        iterate it.
+        Returns ``(slots, posting_lists, posting_entries)`` — the
+        :data:`repro.core.pipeline.Retrieval` tuple.  ``slots`` is a
+        copy of the posting's slab slots, ascending, as an
+        ``array('q')``.
         """
         plist = self.posting_list(term)
         if plist is None:
-            return [], (), 0, 0
+            return (), 0, 0
         slots = plist.snapshot()
-        return _SlabPostingFilters(self.slab, slots), slots, 1, len(slots)
-
-    def match_document_single_term(
-        self, document: Document, term: str
-    ) -> Tuple[List[Filter], RetrievalCost]:
-        """Baseline/MOVE home-node matcher (Section III-B).
-
-        Retrieves only the posting list of ``term``; every filter on
-        that list shares ``term`` with the document, so under boolean
-        any-term semantics all of them match.
-        """
-        if term not in document.terms:
-            raise MatchingError(
-                f"document {document.doc_id!r} does not contain the home "
-                f"term {term!r}"
-            )
-        return self.filters_for_term(term)
+        return slots, 1, len(slots)
 
     def all_terms_cost(self, document: Document) -> RetrievalCost:
         """The disk work of :meth:`match_document_all_terms` alone.

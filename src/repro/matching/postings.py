@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 
 class PostingList:
@@ -81,39 +81,3 @@ class PostingList:
         """A copy of the posting ids as an ``array('q')``: one memcpy,
         8 bytes per id, no per-id int objects."""
         return self._ids[:]
-
-    def union(self, other: "PostingList") -> List[int]:
-        """Sorted merge of two lists (no duplicates)."""
-        merged: List[int] = []
-        a, b = self._ids, other._ids
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] < b[j]:
-                merged.append(a[i])
-                i += 1
-            elif a[i] > b[j]:
-                merged.append(b[j])
-                j += 1
-            else:
-                merged.append(a[i])
-                i += 1
-                j += 1
-        merged.extend(a[i:])
-        merged.extend(b[j:])
-        return merged
-
-    def intersect(self, other: "PostingList") -> List[int]:
-        """Sorted intersection (used by conjunctive semantics)."""
-        result: List[int] = []
-        a, b = self._ids, other._ids
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] < b[j]:
-                i += 1
-            elif a[i] > b[j]:
-                j += 1
-            else:
-                result.append(a[i])
-                i += 1
-                j += 1
-        return result

@@ -369,6 +369,9 @@ class JournaledSystem:
                 drift_epsilon=record["drift_epsilon"],
             )
         if op == "rebalance":
+            # Replay only: no build since the service dropped its
+            # rebalance command writes this record, but an older WAL
+            # may hold one (MOVE's rebalance reallocates).
             return system.rebalance()
         if op == "checkpoint":
             # A marker, not a mutation: it records that a snapshot at
@@ -444,10 +447,6 @@ class JournaledSystem:
                 ),
             }
         )
-
-    def rebalance(self) -> int:
-        self._require("rebalance")
-        return self._log_and_apply({"op": "rebalance"})
 
     def publish_batch(self, documents: Sequence[Document]) -> List:
         if not documents:

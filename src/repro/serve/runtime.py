@@ -335,7 +335,7 @@ class ServiceRuntime:
         in-flight batches (never inside one).  Supported ops mirror
         the journal surface: ``subscribe``, ``unregister``,
         ``finalize``, ``seed_frequencies``, ``reallocate``,
-        ``rebalance``, ``checkpoint``.
+        ``checkpoint``.
         """
         self._check_intake()
         future = asyncio.get_running_loop().create_future()
@@ -482,7 +482,6 @@ class ServiceRuntime:
         "finalize": "finalize_registration",
         "seed_frequencies": "seed_frequencies",
         "reallocate": "reallocate",
-        "rebalance": "rebalance",
         "checkpoint": "checkpoint",
     }
 

@@ -489,6 +489,9 @@ RECORD_MAGIC = 0xB1
 
 #: Second byte: the record's op.  Tag 0x02 belonged to the retired
 #: ``register_batch`` record; it stays reserved and is never reused.
+#: Tag 0x09 (``rebalance``) is replay only, never written: the service
+#: no longer has a rebalance command, but a WAL an earlier build wrote
+#: may hold the record, and replay still applies it.
 _RECORD_TAGS = {
     "publish_batch": 0x01,
     "subscribe": 0x03,

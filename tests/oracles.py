@@ -3,11 +3,12 @@
 :func:`naive_threshold_twin` rebuilds any dissemination system as a
 twin that scores every term-sharing candidate with the naive
 ``VsmScorer.similarity(d, f) >= threshold`` loop.  It does so by
-overriding ``_apply_semantics``: every scheme detects an override and
-routes all candidates through its candidate-dedup path (see
-``DisseminationSystem._kernel_accumulates``), so the twin runs the
-pre-kernel program — routing, RNG draws and cost accounting unchanged,
-only the scoring replaced.
+swapping the system's score kernel — the one semantics seam every
+node-matching step calls — for :class:`NaiveKernel`: single-term
+indexes (IL, MOVE) score each candidate naively, all-terms indexes
+(RS, Centralized) dedup candidates and score each one
+(:func:`brute_force_sift`).  Routing, RNG draws and cost accounting
+are unchanged; only the scoring is replaced.
 
 :func:`cold_cache_twin` rebuilds any system as a twin whose pipeline
 drops its memo set before every batch, so each batch recomputes every
@@ -22,34 +23,46 @@ from typing import Dict, Iterable, List, Tuple, Type
 
 from repro.baselines.base import DisseminationSystem
 from repro.matching.inverted_index import InvertedIndex, RetrievalCost
+from repro.matching.kernel import ScoreKernel
 from repro.matching.vsm import VsmScorer
 from repro.model import Document, Filter
 
-_TWIN_CLASSES: Dict[Tuple[str, type], Type[DisseminationSystem]] = {}
-
-
-def _swap_class(system, prefix: str, make_attrs) -> DisseminationSystem:
-    """Switch ``system`` (in place) onto a memoized subclass of its
-    class named ``prefix + name`` with ``make_attrs(cls)`` as body."""
-    cls = type(system)
-    twin_cls = _TWIN_CLASSES.get((prefix, cls))
-    if twin_cls is None:
-        twin_cls = type(f"{prefix}{cls.__name__}", (cls,), make_attrs(cls))
-        _TWIN_CLASSES[(prefix, cls)] = twin_cls
-    system.__class__ = twin_cls
-    return system
+_COLD_CLASSES: Dict[type, Type[DisseminationSystem]] = {}
 
 
 def _naive_apply_semantics(
-    self, document: Document, filters: Iterable[Filter]
+    scorer: VsmScorer,
+    threshold: float,
+    document: Document,
+    filters: Iterable[Filter],
 ) -> List[Filter]:
-    threshold = self.threshold
-    scorer = self._scorer
     return [
         profile
         for profile in filters
         if scorer.similarity(document, profile) >= threshold
     ]
+
+
+class NaiveKernel(ScoreKernel):
+    """A :class:`ScoreKernel` whose matching runs the naive scorer."""
+
+    __slots__ = ()
+
+    def select(self, document, candidates, caches=None):
+        return _naive_apply_semantics(
+            self.scorer, self.threshold, document, candidates
+        )
+
+    def match_slots(self, document, index, caches=None):
+        matched, cost = brute_force_sift(
+            index, self.scorer, self.threshold, document
+        )
+        slot_of = index.slab.slot_of
+        return (
+            [slot_of(profile.filter_id) for profile in matched],
+            cost.posting_lists,
+            cost.posting_entries,
+        )
 
 
 def naive_threshold_twin(system: DisseminationSystem) -> DisseminationSystem:
@@ -60,11 +73,8 @@ def naive_threshold_twin(system: DisseminationSystem) -> DisseminationSystem:
     """
     if system.threshold is None:
         raise ValueError("the naive twin needs a threshold system")
-    return _swap_class(
-        system,
-        "Naive",
-        lambda cls: {"_apply_semantics": _naive_apply_semantics},
-    )
+    system._kernel = NaiveKernel(system._scorer, system.threshold)
+    return system
 
 
 def cold_cache_twin(system: DisseminationSystem) -> DisseminationSystem:
@@ -75,14 +85,19 @@ def cold_cache_twin(system: DisseminationSystem) -> DisseminationSystem:
     an epoch.  Composes with :func:`naive_threshold_twin`.
     """
 
-    def make_attrs(cls):
+    cls = type(system)
+    cold_cls = _COLD_CLASSES.get(cls)
+    if cold_cls is None:
+
         def publish_batch(self, documents):
             self._engine._caches = None
             return cls.publish_batch(self, documents)
 
-        return {"publish_batch": publish_batch}
-
-    return _swap_class(system, "Cold", make_attrs)
+        cold_cls = _COLD_CLASSES[cls] = type(
+            f"Cold{cls.__name__}", (cls,), {"publish_batch": publish_batch}
+        )
+    system.__class__ = cold_cls
+    return system
 
 
 def brute_force_sift(

@@ -11,7 +11,11 @@ helpers are shared with ``test_wal_recovery``.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,8 @@ from tests.test_wal_recovery import (
     _make_ops,
     _twin,
 )
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 # ---------------------------------------------------------------------------
 # Snapshot file format
@@ -204,6 +210,63 @@ def test_threshold_recovery_from_snapshot_is_bit_identical(
     assert matched > 0  # the threshold admits real matches
     if hasattr(theirs, "_rng"):
         assert ours._rng.getstate() == theirs._rng.getstate()
+    recovered.close()
+
+
+@pytest.mark.parametrize("scheme", ["move", "il", "rs", "central"])
+def test_snapshot_from_another_process_is_bit_identical(tmp_path, scheme):
+    """A snapshot pickles its slab's interner, whose term ids differ
+    from those this process's ``DEFAULT_INTERNER`` gives the
+    documents; a node booted from it must still equal a twin built
+    here."""
+    seed = 7
+    ops = [
+        op
+        for op in _make_ops(seed, count=30)
+        if scheme == "move" or op[0] != "reallocate"
+    ]
+    script = (
+        "import sys\n"
+        "from repro.serve.journal import JournaledSystem\n"
+        "from repro.text.interning import intern_terms\n"
+        "from tests.test_wal_recovery import _apply, _make_ops\n"
+        "intern_terms(f'shift{i}' for i in range(97))\n"
+        f"ops = [op for op in _make_ops({seed}, count=30)"
+        f" if {scheme!r} == 'move' or op[0] != 'reallocate']\n"
+        f"j = JournaledSystem(sys.argv[1], scheme={scheme!r},"
+        f" num_nodes=4, seed={seed})\n"
+        "_apply(j, ops[:20])\n"
+        "j.checkpoint()\n"
+        "_apply(j, ops[20:])\n"
+        "j.close()\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(_ROOT / "src"), str(_ROOT)]),
+    )
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        check=True,
+        env=env,
+        timeout=120,
+    )
+    recovered = JournaledSystem(tmp_path)
+    assert recovered.recovered_from_snapshot_lsn
+    cluster, config = build_cluster(4, 2_000, seed=seed)
+    twin = make_system(scheme, cluster, config)
+    _apply(twin, ops)
+    probe_rng = random.Random(0xBEEF)
+    probes = [
+        Document.from_terms(f"probe{i}", probe_rng.choices(_VOCAB, k=10))
+        for i in range(8)
+    ]
+    matched = 0
+    for mine, twins in zip(
+        recovered.system.publish_batch(probes), twin.publish_batch(probes)
+    ):
+        assert mine == twins
+        matched += len(mine.matched_filter_ids)
+    assert matched > 0
     recovered.close()
 
 

@@ -194,7 +194,7 @@ def test_memos_survive_batches_until_the_epoch_moves(scheme):
     system = _build(scheme, bundle, None, traced=False, cold=False)
     system.publish_batch(bundle.documents[:3])
     caches = system._engine._caches
-    assert caches is not None and caches.retrieval
+    assert caches is not None and caches.postings
     assert not caches.doc_scores
     system.publish(bundle.documents[3])
     assert system._engine._caches is caches
@@ -241,3 +241,19 @@ def test_snapshot_state_from_before_epoch_memos_loads():
     assert engine._caches is None
     assert len(engine.publish_batch(bundle.documents[:2])) == 2
     assert engine._caches is not None
+
+
+def test_snapshot_state_with_the_retired_kernel_caches_slot_loads():
+    # Snapshots written before the node-matching step took its caches
+    # from the execution context carry ``_active_caches=None`` on the
+    # system; such a state must load and disseminate like its twin.
+    bundle = _bundle(False)
+    old = _build("move", bundle, THRESHOLD, traced=False, cold=False)
+    twin = _build("move", bundle, THRESHOLD, traced=False, cold=False)
+    old.__dict__["_active_caches"] = None
+    restored = pickle.loads(pickle.dumps(old))
+    assert restored._active_caches is None
+    batch = bundle.documents[:12]
+    assert [_plan_key(p) for p in restored.publish_batch(batch)] == [
+        _plan_key(p) for p in twin.publish_batch(batch)
+    ]

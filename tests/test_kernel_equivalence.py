@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import math
 import pickle
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import repro.matching.kernel as kernel_module
-from repro.core import MoveSystem
+from repro.core import ForwardingTable, MoveSystem
+from repro.core.allocation import AllocationGrid
+from repro.core.coordinator import AllocationPlan
 from repro.experiments.harness import (
     ScaledWorkload,
     build_cluster,
@@ -85,6 +89,13 @@ def _assert_plans_identical(naive_plans, kernel_plans):
         assert naive_plan.tasks == kernel_plan.tasks
 
 
+def _assert_loads_identical(naive, fast):
+    for load_name in ("documents_received", "posting_entries"):
+        naive_load = naive.metrics.load(load_name).as_dict()
+        fast_load = fast.metrics.load(load_name).as_dict()
+        assert naive_load == fast_load
+
+
 def _assert_scores_identical(naive, fast, documents):
     """Exact float equality of every (doc, registered filter) score."""
     for document in documents:
@@ -118,10 +129,7 @@ def _run_equivalence(scheme, fail=0.0, interleave_observe=False):
         naive_plans = naive.publish_batch(documents)
         kernel_plans = fast.publish_batch(documents)
     _assert_plans_identical(naive_plans, kernel_plans)
-    for load_name in ("documents_received", "posting_entries"):
-        naive_load = naive.metrics.load(load_name).as_dict()
-        fast_load = fast.metrics.load(load_name).as_dict()
-        assert naive_load == fast_load
+    _assert_loads_identical(naive, fast)
     _assert_scores_identical(naive, fast, documents[:5])
 
 
@@ -414,3 +422,149 @@ def test_kernel_rejects_invalid_threshold():
         ScoreKernel(VsmScorer(), threshold=0.0)
     with pytest.raises(ValueError):
         ScoreKernel(VsmScorer(), threshold=1.5)
+
+
+# ---------------------------------------------------------------------------
+# MOVE failure branches: home fallback and lost subsets
+# ---------------------------------------------------------------------------
+
+
+def _grid_of(home, node_ids, width=2, rows=2):
+    """A ``rows`` x ``width`` grid over the nodes after ``home``."""
+    start = node_ids.index(home)
+    ring = node_ids[start + 1 :] + node_ids[:start]
+    used = ring[: rows * width]
+    return AllocationGrid(
+        home_node=home,
+        ratio=width / (rows * width),
+        rows=tuple(
+            tuple(used[row * width : (row + 1) * width])
+            for row in range(rows)
+        ),
+    )
+
+
+def _build_move_grids(bundle, naive, per_term):
+    """A threshold MOVE system on a hand-built plan of 2x2 grids.
+
+    The coordinator gives every table of :data:`WORKLOAD` a single
+    subset, which never reaches the home-fallback or lost-subset code;
+    here each table separates its filters into two subsets.  Per home
+    node in the aggregated mode; per popular term in the per-term
+    mode.
+    """
+    workload = bundle.workload
+    cluster, config = build_cluster(
+        workload.num_nodes, workload.node_capacity, seed=3
+    )
+    config = replace(
+        config,
+        allocation=replace(config.allocation, aggregate_per_node=not per_term),
+    )
+    system = make_system("move", cluster, config, threshold=THRESHOLD)
+    if naive:
+        naive_threshold_twin(system)
+    system.subscribe(bundle.filters)
+    node_ids = cluster.node_ids()
+    if per_term:
+        # The terms held by the most filters among those the documents
+        # carry, so that each subset of their grids holds filters.
+        counts = Counter(term for f in bundle.filters for term in f.terms)
+        published = {
+            term for document in bundle.documents for term in document.terms
+        }
+        keys = [t for t, _ in counts.most_common() if t in published][:12]
+        homes = {key: system.home_of(key) for key in keys}
+    else:
+        homes = {node_id: node_id for node_id in node_ids}
+    system._apply_plan(
+        AllocationPlan(
+            tables={
+                key: ForwardingTable(_grid_of(home, node_ids))
+                for key, home in homes.items()
+            }
+        )
+    )
+    return system
+
+
+@pytest.mark.parametrize("home_alive", [True, False], ids=["fallback", "lost"])
+@pytest.mark.parametrize("per_term", [False, True], ids=["per_node", "per_term"])
+def test_kernel_identical_on_move_failure_branches(
+    monkeypatch, per_term, home_alive
+):
+    """Both holders of one subset fail: with the home alive the home
+    node serves that subset itself (home fallback), with the home dead
+    the subset is lost.  The naive twin must agree on either branch,
+    and each test asserts its branch ran."""
+    bundle = WORKLOAD.build()
+    naive = _build_move_grids(bundle, naive=True, per_term=per_term)
+    fast = _build_move_grids(bundle, naive=False, per_term=per_term)
+    target_key, target_table = next(iter(fast.plan.tables.items()))
+    target = target_table.grid
+    victims = [row[0] for row in target.rows]
+    if not home_alive:
+        victims.append(target.home_node)
+    for system in (naive, fast):
+        for node_id in victims:
+            system.cluster.fail_node(node_id)
+
+    fallbacks = []
+    lost = []
+    target_lost = set()
+    route_grouped = ForwardingTable.route_grouped
+
+    def spy(table, *args, **kwargs):
+        grouping, lost_subsets = route_grouped(table, *args, **kwargs)
+        fallbacks.extend(
+            subsets
+            for node_id, subsets in grouping
+            if node_id == table.home_node
+        )
+        lost.extend(lost_subsets)
+        if table.grid is target:
+            target_lost.update(lost_subsets)
+        return grouping, lost_subsets
+
+    monkeypatch.setattr(ForwardingTable, "route_grouped", spy)
+    naive_plans = naive.publish_batch(bundle.documents)
+    fast_plans = fast.publish_batch(bundle.documents)
+    _assert_plans_identical(naive_plans, fast_plans)
+    _assert_loads_identical(naive, fast)
+    _assert_scores_identical(naive, fast, bundle.documents[:3])
+    for system in (naive, fast):
+        assert system._engine._caches.home_subsets
+    # Shared routing code runs in both twins, so also check that every
+    # candidate of a lost subset is reported unreachable and every
+    # delivery against the naive scorer directly.
+    profiles = fast.subscriptions()
+    if home_alive:
+        assert fallbacks and not lost
+    else:
+        assert target_lost
+
+        def owned(term):
+            if per_term:
+                return term == target_key
+            return fast.home_of(term) == target_key
+
+        lost_candidates = 0
+        for plan in fast_plans:
+            terms = {term for term in plan.document.terms if owned(term)}
+            expected = {
+                filter_id
+                for filter_id, profile in profiles.items()
+                if terms.intersection(profile.terms)
+                and target.subset_of(filter_id) in target_lost
+            }
+            assert expected <= (
+                plan.unreachable_filter_ids | plan.matched_filter_ids
+            )
+            lost_candidates += len(expected)
+        assert lost_candidates
+    for plan in fast_plans:
+        for filter_id in plan.matched_filter_ids:
+            assert naive._scorer.similarity(
+                plan.document, profiles[filter_id]
+            ) >= THRESHOLD
+    assert any(plan.matched_filter_ids for plan in fast_plans)

@@ -31,16 +31,6 @@ class TestPostingList:
         assert not plist.remove(9)
         assert plist.ids() == (2,)
 
-    def test_union(self):
-        a = PostingList("t", [1, 3, 5])
-        b = PostingList("t", [2, 3, 6])
-        assert a.union(b) == [1, 2, 3, 5, 6]
-
-    def test_intersect(self):
-        a = PostingList("t", [1, 3, 5])
-        b = PostingList("t", [3, 5, 7])
-        assert a.intersect(b) == [3, 5]
-
 
 class TestInvertedIndex:
     def _index(self):
@@ -91,19 +81,6 @@ class TestInvertedIndex:
         index.add_filter(profile, indexed_terms=["b"])
         assert len(index) == 1
         assert index.stored_replica_count() == 2
-
-    def test_match_single_term(self):
-        index = self._index()
-        doc = Document.from_terms("d", ["b", "x"])
-        filters, cost = index.match_document_single_term(doc, "b")
-        assert {f.filter_id for f in filters} == {"f1", "f2"}
-        assert cost.posting_lists == 1
-
-    def test_match_single_term_requires_document_term(self):
-        index = self._index()
-        doc = Document.from_terms("d", ["x"])
-        with pytest.raises(MatchingError):
-            index.match_document_single_term(doc, "b")
 
     def test_match_all_terms_deduplicates(self):
         index = self._index()

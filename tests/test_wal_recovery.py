@@ -435,6 +435,34 @@ def test_json_era_record_refuses_recovery_by_lsn(tmp_path, json_at):
         JournaledSystem(tmp_path)
 
 
+def test_rebalance_record_from_an_older_build_replays(tmp_path):
+    """Tag 0x09 is replay only: no build writes it any more, but a WAL
+    an earlier build wrote may hold it.  Replay must apply it — MOVE's
+    rebalance forces a reallocation, so it is not a no-op."""
+    ops = _make_ops(seed=6, count=10)
+    journal = JournaledSystem(tmp_path, scheme="move", num_nodes=4, seed=6)
+    _apply(journal, ops)
+    journal.close()
+    writer = WalWriter(tmp_path)
+    writer.append(b"\xb1\x09")
+    writer.close()
+    recovered = JournaledSystem(tmp_path).system
+    twin = _twin(6)
+    _apply(twin, ops)
+    reallocations = twin.metrics.counter("reallocations")
+    before = reallocations.value
+    twin.rebalance()
+    assert reallocations.value == before + 1
+    assert recovered.metrics.counter("reallocations").value == (
+        reallocations.value
+    )
+    assert recovered._mutation_epoch == twin._mutation_epoch
+    assert recovered.coordinator._rng.getstate() == (
+        twin.coordinator._rng.getstate()
+    )
+    _assert_bit_identical(recovered, twin)
+
+
 def test_failed_operations_do_not_poison_recovery(tmp_path):
     """A journalled request whose apply raises (duplicate register,
     unknown unregister) left the live node running; replay must skip
